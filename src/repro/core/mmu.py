@@ -354,12 +354,16 @@ class MMU:
         unconditionally, sanitizers on or off.
         """
         for victim in self.l2.insert(entry):
-            for slot, valid in enumerate(victim.valid):
-                if not valid:
-                    continue
-                vpn = victim.group_base_vpn + slot
-                if self.l2.entry_for(vpn) is None:
-                    self.l1.invalidate(vpn)
+            self._back_invalidate_l1(victim)
+
+    def _back_invalidate_l1(self, entry: CoalescedEntry) -> None:
+        """Drop L1 copies of ``entry``'s pages the L2 no longer covers."""
+        for slot, valid in enumerate(entry.valid):
+            if not valid:
+                continue
+            vpn = entry.group_base_vpn + slot
+            if self.l2.entry_for(vpn) is None:
+                self.l1.invalidate(vpn)
 
     def _insert_l2_translation(self, translation: Translation) -> None:
         """Single-translation L2 fill routed through back-invalidation."""
@@ -442,12 +446,22 @@ class MMU:
         (Section 4.1.5), and the walker's MMU-cache entries for this
         address are dropped (INVLPG semantics) -- the page-table structure
         may have changed (e.g. a THP split replaces a PDE).
+
+        With graceful invalidation the L2 may drop a survivor of the
+        split entry for want of a free way; its pages are then
+        back-invalidated from the L1 too, keeping the L2 inclusive.
         """
         self.counters.increment("invalidations")
         if self._obs is not None:
             self._obs.on_shootdown(vpn)
         self.l1.invalidate(vpn)
+        shot = (
+            self.l2.entry_for(vpn)
+            if self.config.l2.graceful_invalidation else None
+        )
         self.l2.invalidate(vpn)
+        if shot is not None:
+            self._back_invalidate_l1(shot)
         self.superpage_tlb.invalidate(vpn)
         if self.walker.mmu_cache is not None:
             self.walker.mmu_cache.invalidate_vpn(vpn)

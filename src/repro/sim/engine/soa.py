@@ -17,8 +17,9 @@ Behavioural contract (asserted bit-identical by ``tests/test_engine.py``):
   inclusive interval arithmetic;
 * probes return the *first* covering entry in insertion order (for the
   FA TLB entries may overlap -- attribution order matters);
-* graceful-invalidation survivors re-enter through the same full-LRU
-  check as ``LRUTracker.touch`` (and raise the same ``ValueError``);
+* graceful-invalidation survivors are installed only while the set (or
+  FA TLB) has a free way, and dropped otherwise -- a shootdown never
+  evicts unrelated live entries;
 * the superpage-overlap check raises before any mutation, exactly like
   ``FullyAssociativeTLB.insert``.
 """
@@ -31,9 +32,6 @@ import numpy as np
 
 from repro.cache.mmu_cache import CACHEABLE_LEVELS
 from repro.sim.engine.records import _KEY_MASK
-
-#: Matches ``repro.common.lru.LRUTracker.touch`` on a full tracker.
-_LRU_FULL = "LRU tracker full; evict before inserting a new key"
 
 #: Matches ``repro.tlb.fully_associative.FullyAssociativeTLB.insert``.
 _SP_OVERLAP = "overlapping superpage entry"
@@ -179,7 +177,7 @@ class LeanSetTLB:
         self, bucket: Dict[int, tuple], order: List[int], item: tuple
     ) -> None:
         if len(order) >= self.ways:
-            raise ValueError(_LRU_FULL)
+            return  # no free way: the survivor is dropped
         eid = self.next_id
         self.next_id = eid + 1
         bucket[eid] = item
@@ -325,7 +323,7 @@ class LeanFaTLB:
 
     def _install_survivor(self, item: tuple) -> None:
         if len(self.order) >= self.capacity:
-            raise ValueError(_LRU_FULL)
+            return  # no free entry: the survivor is dropped
         eid = self.next_id
         self.next_id = eid + 1
         self.entries[eid] = item

@@ -484,12 +484,16 @@ class VectorMMU:
 
     def _insert_l2(self, item: Tuple[int, int, int, int]) -> None:
         """L2 install with inclusive back-invalidation of the L1."""
+        for victim in self.l2.insert(item):
+            self._back_invalidate_l1(victim)
+
+    def _back_invalidate_l1(self, item: tuple) -> None:
+        """Drop L1 copies of ``item``'s pages the L2 no longer covers."""
         l2 = self.l2
         l1 = self.l1
-        for victim in l2.insert(item):
-            for vpn in range(victim[0], victim[1] + 1):
-                if l2.covering(vpn) is None:
-                    l1.invalidate(vpn)
+        for vpn in range(item[0], item[1] + 1):
+            if l2.covering(vpn) is None:
+                l1.invalidate(vpn)
 
     def _count_fill(self, run_length: int) -> None:
         if run_length >= 2:
@@ -514,7 +518,12 @@ class VectorMMU:
         mmuc = self.mmu_cache
         for vpn in range(start, start + count):
             l1.invalidate(vpn)
+            # Mirrors MMU.invalidate: L1 copies of a dropped graceful
+            # survivor go too, keeping the L2 inclusive.
+            shot = l2.covering(vpn) if l2.graceful else None
             l2.invalidate(vpn)
+            if shot is not None:
+                self._back_invalidate_l1(shot)
             fa.invalidate(vpn)
             mmuc.invalidate_vpn(vpn)
 

@@ -16,7 +16,9 @@ with per-task submission under an explicit :class:`RetryPolicy`:
 * **Per-task deadlines** -- ``timeout_s`` bounds each
   ``future.result`` wait; a timed-out task is retried and the stale
   future ignored (both attempts compute identical results, so the
-  duplicate is harmless). Pooled tasks additionally arm a
+  duplicate is harmless). Because a running attempt cannot be
+  cancelled, an executor that abandoned one kills its pool's workers
+  on close instead of joining them. Pooled tasks additionally arm a
   worker-side :mod:`faulthandler` dump at the same deadline, so a
   blown ``COLT_TASK_TIMEOUT`` leaves ``task-<pid>.txt`` under the
   dump dir showing *where* the worker was stuck, not just that it
@@ -235,6 +237,9 @@ class ResilientExecutor:
         self._watchdog = watchdog
         self._dump_dir = str(resolve_dump_dir(dump_dir))
         self._pool: Optional[ProcessPoolExecutor] = None
+        # An attempt was given up on while still running (deadline,
+        # stall): the pool is then killed at shutdown, never joined.
+        self._abandoned = False
         self._rebuilt = False
         self._serial = self._jobs <= 1
 
@@ -259,9 +264,22 @@ class ResilientExecutor:
         return self._pool
 
     def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        pool, self._pool = self._pool, None
+        if pool is None:
+            return
+        if not self._abandoned:
+            pool.shutdown(wait=True, cancel_futures=True)
+            return
+        # Joining a hung worker would block forever, and Python has no
+        # public ``terminate_workers`` before 3.14. SIGKILL, because
+        # forked workers inherit the ShutdownCoordinator's SIGTERM hook.
+        self._abandoned = False
+        workers = list((pool._processes or {}).values())
+        pool.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.kill()
+        for process in workers:
+            process.join()
 
     def _recover_pool(self) -> None:
         """After a break: rebuild once, then downgrade to serial."""
@@ -330,10 +348,8 @@ class ResilientExecutor:
     # ------------------------------------------------------------------
 
     def _check_shutdown(self) -> None:
-        if self._shutdown is not None and self._shutdown.requested:
-            raise ShutdownRequested(
-                getattr(self._shutdown, "signal_name", None) or "signal"
-            )
+        if self._shutdown is not None:
+            self._shutdown.check()
 
     def _heartbeat(self) -> None:
         if self._watchdog is not None:
@@ -424,6 +440,7 @@ class ResilientExecutor:
                         if retry is not None:
                             pending.append(retry)
                     except FutureTimeoutError:
+                        self._abandoned = True
                         self.counters.increment("timeouts")
                         retry = self._next_attempt(
                             task,
@@ -435,7 +452,8 @@ class ResilientExecutor:
                         if retry is not None:
                             pending.append(retry)
                     except StallError as exc:
-                        future.cancel()
+                        if not future.cancel():
+                            self._abandoned = True
                         retry = self._next_attempt(task, exc, failures)
                         if retry is not None:
                             pending.append(retry)

@@ -147,6 +147,8 @@ class FullyAssociativeTLB:
         graceful invalidation, a coalesced range entry is split into the
         (up to two) sub-ranges around the victim page; superpage entries
         are always dropped whole -- the hardware mapping itself is gone.
+        As in the set-associative TLB, a shootdown never evicts unrelated
+        live entries: a survivor that finds the TLB full is dropped.
         """
         dropped = False
         for entry_id, entry in list(self._entries.items()):
@@ -158,6 +160,9 @@ class FullyAssociativeTLB:
             dropped = True
             if self.config.graceful_invalidation and not entry.is_superpage:
                 for survivor in self._split_around(entry, vpn):
+                    if self._lru.is_full:
+                        self.counters.increment("graceful_drops")
+                        continue
                     new_id = next(self._ids)
                     self._entries[new_id] = survivor
                     self._lru.touch(new_id)

@@ -191,6 +191,9 @@ class SetAssociativeTLB:
         unaffected in standard TLBs". With graceful invalidation (the
         section's future-work idea) the entry is instead shrunk around
         the victim page, keeping the unaffected translations resident.
+        A shootdown never evicts unrelated live entries: an interior
+        page splits the entry in two, and when the set has no free way
+        for the second survivor it is dropped (``graceful_drops``).
         """
         set_index = self.set_index_for(vpn)
         bucket = self._sets[set_index]
@@ -205,6 +208,9 @@ class SetAssociativeTLB:
             dropped = True
             if self.config.graceful_invalidation:
                 for survivor in self._shrink_around(entry, vpn):
+                    if lru.is_full:
+                        self.counters.increment("graceful_drops")
+                        continue
                     new_id = next(self._ids)
                     bucket[new_id] = survivor
                     lru.touch(new_id)

@@ -338,12 +338,15 @@ class TestExecutorIntegration:
             fn=_sleepy, args=(20.0,), site="capture", index=0,
             context={"kind": "stall-victim"},
         )
+        started = time.monotonic()
         with dog, ResilientExecutor(
             jobs=2, policy=policy, watchdog=dog
         ) as executor:
             results = [r for _, r in executor.run([task])]
         # The stalled attempt 0 was abandoned; the retry (attempt 1)
-        # returned immediately.
+        # returned immediately, and close() killed the still-sleeping
+        # worker instead of joining it.
+        assert time.monotonic() - started < 10.0
         assert results == [1]
         assert executor.counters.as_dict()["retries"] >= 1
         assert dog.counters.as_dict()["stalls"] >= 1

@@ -8,6 +8,8 @@ that contract, plus the engine-selection plumbing (``--engine`` /
 ``COLT_ENGINE`` / ``COLT_EPOCH_MAX``) around it.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.errors import ConfigurationError
@@ -24,7 +26,7 @@ from repro.sim.engine import (
     replay_with_engine,
     resolve_engine,
 )
-from repro.sim.engine.vector import vector_replay_scenario
+from repro.sim.engine.vector import VectorMMU, vector_replay_scenario
 from repro.sim.faults import FaultPlan
 from repro.sim.replay import replay_scenario
 from repro.sim.resilience import RetryPolicy
@@ -173,6 +175,41 @@ class TestBitIdentity:
             monkeypatch.delenv(PROFILE_ENV)
             reset_tracing()
         assert series[0] == series[1]
+
+
+class TestGracefulOverflow:
+    def test_graceful_overflow_matches_scalar(self):
+        """QUICK seed 4, mcf: both engines once raised LRU-full here."""
+        base = simulation_config("mcf", QUICK.with_updates(seed=4))
+        config = base.with_updates(
+            design=CoLTDesign.COLT_ALL,
+            mmu=make_mmu_config(
+                CoLTDesign.COLT_ALL, graceful_invalidation=True
+            ),
+        )
+        scenario = capture_scenario(base)
+        assert_identical(
+            replay_scenario(scenario, config),
+            vector_replay_scenario(scenario, config),
+        )
+
+    def test_vector_back_invalidates_dropped_pages_from_l1(
+        self, small_scenario
+    ):
+        """Mirror of the MMU-level check in ``test_future_work.py``."""
+        config = make_mmu_config(
+            CoLTDesign.COLT_SA, graceful_invalidation=True
+        )
+        config = replace(config, l2=replace(config.l2, entries=1, ways=1))
+        vmmu = VectorMMU(config, small_scenario, 0.0)
+        vmmu.l2.insert((8, 11, 100, 0))
+        vmmu.l1.insert((8, 11, 100, 0))
+        vmmu._invalidate_range(9, 1)
+        assert vmmu.l2.covering(8) == (8, 8, 100, 0)
+        assert vmmu.l1.covering(8) == (8, 8, 100, 0)
+        for vpn in (10, 11):
+            assert vmmu.l2.covering(vpn) is None
+            assert vmmu.l1.covering(vpn) is None
 
 
 class TestEngineSelection:

@@ -6,10 +6,16 @@ de-prioritises entries with little coalescing. Both are implemented
 behind configuration flags; these tests pin their semantics.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.cache.hierarchy import CacheHierarchy
+from repro.cache.mmu_cache import MMUCache
 from repro.common.types import Translation
-from repro.core.mmu import CoLTDesign, make_mmu_config
+from repro.core.mmu import MMU, CoLTDesign, make_mmu_config
+from repro.osmem.page_table import PageTable
+from repro.sim.engine.soa import LeanFaTLB, LeanSetTLB
 from repro.tlb.config import (
     FullyAssociativeTLBConfig,
     SetAssociativeTLBConfig,
@@ -17,6 +23,7 @@ from repro.tlb.config import (
 from repro.tlb.entries import CoalescedEntry, RangeEntry
 from repro.tlb.fully_associative import FullyAssociativeTLB
 from repro.tlb.set_associative import SetAssociativeTLB
+from repro.walker.page_walker import PageWalker
 
 
 def run_of(start_vpn, start_pfn, length):
@@ -87,6 +94,79 @@ class TestGracefulFAInvalidation:
         tlb.insert_superpage(Translation(512, 1024, is_superpage=True))
         tlb.invalidate(512 + 10)
         assert tlb.occupancy == 0
+
+
+class TestGracefulOverflow:
+    """A split in a full set keeps the left survivor, drops the right
+    one and evicts no bystander -- in the object model and in the
+    vector engine's lean mirrors alike."""
+
+    def test_full_two_way_set_drops_second_survivor(self):
+        # 4 entries x 2 ways = 2 sets; groups 8..11 and 0..3 share set 0.
+        tlb = SetAssociativeTLB(
+            SetAssociativeTLBConfig(4, 2, 2, graceful_invalidation=True)
+        )
+        lean = LeanSetTLB(2, 2, 2, True, False)
+        tlb.insert(CoalescedEntry.from_run(run_of(8, 100, 4), 4))
+        tlb.insert_translation(Translation(0, 50))
+        lean.insert((8, 11, 100, 0))
+        lean.insert((0, 0, 50, 0))
+        tlb.invalidate(9)
+        lean.invalidate(9)
+        assert tlb.probe(8, update_lru=False) == 100
+        for vpn in (9, 10, 11):
+            assert tlb.probe(vpn, update_lru=False) is None
+        assert tlb.probe(0, update_lru=False) == 50
+        assert tlb.counters["graceful_drops"] == 1
+        assert tlb.counters["evictions"] == 0
+        assert sorted(lean.buckets[0].values()) == [
+            (0, 0, 50, 0), (8, 8, 100, 0),
+        ]
+
+    def test_full_fa_tlb_drops_second_survivor(self):
+        tlb = FullyAssociativeTLB(
+            FullyAssociativeTLBConfig(
+                entries=2, allow_coalesced=True, graceful_invalidation=True
+            )
+        )
+        lean = LeanFaTLB(2, True, 1024, True)
+        for vpn, ppn, span in ((100, 700, 8), (200, 900, 4)):
+            tlb.insert(RangeEntry.from_run(run_of(vpn, ppn, span)))
+            lean.insert(vpn, span, ppn, 0, False)
+        tlb.invalidate(103)
+        lean.invalidate(103)
+        assert tlb.probe(102, update_lru=False) == 702
+        assert tlb.probe(104, update_lru=False) is None
+        assert tlb.probe(200, update_lru=False) == 900
+        assert tlb.counters["graceful_drops"] == 1
+        assert tlb.counters["evictions"] == 0
+        assert sorted(lean.entries.values()) == [
+            (100, 103, 700, 0, False), (200, 204, 900, 0, False),
+        ]
+
+    def test_mmu_back_invalidates_dropped_pages_from_l1(self):
+        table = PageTable()
+        for offset in range(16):
+            table.map_page(offset, 5000 + offset)
+        config = make_mmu_config(
+            CoLTDesign.COLT_SA, graceful_invalidation=True
+        )
+        # A one-entry L2: the split of 8..11 has room for one survivor.
+        config = replace(config, l2=replace(config.l2, entries=1, ways=1))
+        mmu = MMU(
+            config, PageWalker(table, CacheHierarchy(), MMUCache()),
+            sanitize=True,
+        )
+        mmu.access(9)
+        assert mmu.l1.entry_for(11) is not None
+        mmu.invalidate(9)
+        assert mmu.l2.entry_for(8) is not None
+        for vpn in (10, 11):
+            assert mmu.l2.entry_for(vpn) is None
+            # L1 had room for both survivors, but the L2 is inclusive.
+            assert mmu.l1.entry_for(vpn) is None
+        assert mmu.l1.entry_for(8) is not None
+        mmu.sanitizer.full_scan()
 
 
 class TestCoalescingAwareReplacement:

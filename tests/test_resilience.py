@@ -21,7 +21,13 @@ from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
 from repro.obs.registry import set_registry
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
-from repro.sim.faults import FAULTS_ENV, FaultPlan, corrupt_bytes
+from repro.sim.faults import (
+    EXECUTION_KINDS,
+    FAULTS_ENV,
+    STORE_KINDS,
+    FaultPlan,
+    corrupt_bytes,
+)
 from repro.sim.resilience import (
     RETRIES_ENV,
     TIMEOUT_ENV,
@@ -39,6 +45,7 @@ from repro.sim.store import (
     unframe_payload,
 )
 from repro.sim.system import SimulationConfig, simulate
+from repro.sim.watchdog import DUMP_DIR_ENV
 
 
 @pytest.fixture
@@ -113,6 +120,8 @@ class TestFaultPlan:
         "torn@capture:0",             # store kind at a task site
         "raise@capture:0x0",          # times must be >= 1
         "raise@boot:0",               # unknown site
+        "worker-lost@dist:0",         # removed kind and site
+        "torn@dist.journal:0",        # store kind at a removed site
     ])
     def test_parse_rejects(self, bad):
         with pytest.raises(ConfigurationError):
@@ -156,6 +165,36 @@ class TestFaultPlan:
         assert plan.corruption(0) == "torn"
         assert plan.corruption(1) is None
         assert plan.corruption(2) == "corrupt"
+
+    def test_fault_times_exhaustion_at_same_site(self):
+        plan = FaultPlan.parse("raise@capture:0x2")
+        for attempt in (0, 1):
+            with pytest.raises(InjectedFaultError):
+                plan.fire("capture", 0, attempt)
+        # Attempt 2 exhausts x2: the site goes quiet, forever.
+        plan.fire("capture", 0, 2)
+        plan.fire("capture", 0, 3)
+        assert plan.counters["raise"] == 2
+
+    def test_overlapping_specs_first_wins(self):
+        plan = FaultPlan.parse("torn@store.write:0;corrupt@store.write:0")
+        assert plan.corruption(0) == "torn"
+        # Both specs parsed; precedence is declaration order, every time.
+        assert [spec.kind for spec in plan.specs] == ["torn", "corrupt"]
+        assert plan.corruption(0) == "torn"
+
+    def test_unknown_kind_lists_vocabulary(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            FaultPlan.parse("explode@capture:0")
+        text = str(excinfo.value)
+        assert "unknown fault kind" in text
+        for kind in EXECUTION_KINDS + STORE_KINDS:
+            assert kind in text
+
+    def test_unparseable_spec_names_grammar(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"cannot parse fault spec"):
+            FaultPlan.parse("raise@capture")  # no index
 
     def test_corrupt_bytes(self):
         data = b"x" * 64
@@ -291,7 +330,6 @@ class TestHardenedStore:
         store.save(config, result)       # write 2: intact
         assert plan.counters.as_dict() == {
             "crash": 0, "raise": 0, "delay": 0, "torn": 1, "corrupt": 1,
-            "worker-lost": 0, "shard-desync": 0,
         }
         fresh = ResultStore(tmp_path / "cache")
         assert fresh.load(victim_a) is None
@@ -377,9 +415,11 @@ class TestResilientExecutor:
         assert exc_info.value.context == {"value": 0}
         assert "capture task 0" in str(exc_info.value)
 
-    def test_pool_deadline_triggers_retry(self):
+    def test_pool_deadline_triggers_retry(self, tmp_path):
         policy = RetryPolicy(max_retries=2, backoff_s=0.0, timeout_s=0.2)
-        with ResilientExecutor(jobs=2, policy=policy) as executor:
+        with ResilientExecutor(
+            jobs=2, policy=policy, dump_dir=tmp_path
+        ) as executor:
             results = [r for _, r in executor.run([_task(_slow_first, 9, 0)])]
         assert results == [9]
         counts = executor.counters.as_dict()
@@ -400,10 +440,13 @@ class TestChaosMatrix:
         pytest.param("delay@replay:0/1.0", id="deadline-blown"),
     ])
     def test_faulted_run_matches_baseline(self, obs_off, baseline,
-                                          plan_text):
+                                          plan_text, tmp_path, monkeypatch):
+        # Deadline stack dumps go to tmp_path, not the checkout.
+        monkeypatch.setenv(DUMP_DIR_ENV, str(tmp_path))
+        deadline = "delay" in plan_text
         policy = RetryPolicy(
             max_retries=3, backoff_s=0.01,
-            timeout_s=0.25 if "delay" in plan_text else None,
+            timeout_s=0.25 if deadline else None,
         )
         plan = FaultPlan.parse(plan_text)
         runner = ExperimentRunner(jobs=2, policy=policy, faults=plan)
@@ -412,6 +455,11 @@ class TestChaosMatrix:
         counts = runner.resilience_counters.as_dict()
         assert counts["retries"] >= 1
         assert runner.resilience_summary() is not None
+        if deadline:
+            # The abandoned worker dumped its stacks at the deadline,
+            # before the executor killed it on close.
+            dumps = list(tmp_path.glob("task-*.txt"))
+            assert dumps and all(d.stat().st_size for d in dumps)
 
     def test_double_crash_rebuilds_then_downgrades(self, obs_off, baseline):
         plan = FaultPlan.parse("crash@capture:0x2")

@@ -1,19 +1,23 @@
-"""Runner-speedup smoke benchmark: monolithic vs capture+replay.
+"""Runner-speedup smoke benchmark: serial simulate() vs capture+replay.
 
 Times the fig18 + fig21 pipeline at QUICK scale twice:
 
-1. **serial monolithic** -- ``ExperimentRunner(monolithic=True)``, the
-   legacy path: every (benchmark, design) pair re-runs the full
-   OS+workload interleaving inline.
-2. **parallel capture+replay** -- ``ExperimentRunner(jobs=N)``: one OS
+1. **parallel capture+replay** -- ``ExperimentRunner(jobs=N)``: one OS
    capture per benchmark, one TLB replay per design, fanned across a
    process pool.
+2. **serial monolithic** -- a serial :func:`repro.sim.system.simulate`
+   loop over every config the parallel run simulated: each
+   (benchmark, design) pair re-runs the full OS+workload interleaving
+   inline. Every result must have the same
+   :func:`repro.analysis.determinism.result_digest` as its parallel
+   counterpart, so the speedup gate doubles as an end-to-end check of
+   the pipeline against its oracle.
 
-Writes a ``BENCH_runner.json`` artifact with wall-clock per figure,
-aggregate simulated accesses/second for both modes, and the speedup;
-exits non-zero if the speedup falls below ``--min-speedup`` (CI runs
-with ``--min-speedup 2.0 --jobs 4``; on a single-core box pass
-``--min-speedup 0`` to just record numbers).
+Writes a ``BENCH_runner.json`` artifact with wall-clock per figure for
+the pipeline, aggregate simulated accesses/second for both modes, and
+the speedup; exits non-zero if any digest differs or the speedup falls
+below ``--min-speedup`` (CI runs with ``--min-speedup 2.0 --jobs 4``;
+on a single-core box pass ``--min-speedup 0`` to just record numbers).
 
 A third, untimed-against-the-threshold phase exercises the on-disk
 result store in a temporary directory -- one cold pipeline populating
@@ -27,13 +31,6 @@ for the resilience layer: it re-times the parallel pipeline with a
 retry policy, per-task deadline and a never-matching fault plan
 attached, and fails if the fault-free machinery costs more than ``X``
 times the plain parallel run.
-
-``--max-dist-overhead X`` times the same pipeline under the
-distributed coordinator (``DistributedRunner`` with ``--dist-workers``
-worker subprocesses, aggregate parallelism matched to ``--jobs``),
-writes the timings and ``colt_dist`` counters to ``BENCH_dist.json``
-(``--dist-output``), and fails if coordinating costs more than ``X``
-times the plain parallel run (CI pins 1.3x at QUICK scale).
 
 ``--min-vector-speedup X`` arms a separate replay-engine phase: every
 QUICK benchmark is captured once, then replayed under all five designs
@@ -63,9 +60,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
+from repro.analysis.determinism import result_digest  # noqa: E402
 from repro.core.mmu import CoLTDesign  # noqa: E402
 from repro.obs.trace import TRACE_ENV, reset_tracing  # noqa: E402
-from repro.sim.dist.coordinator import DistributedRunner  # noqa: E402
 from repro.sim.engine.vector import vector_replay_scenario  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
 from repro.sim.replay import replay_scenario  # noqa: E402
@@ -73,6 +70,7 @@ from repro.sim.resilience import RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
 from repro.sim.scenario import capture_scenario, scenario_config  # noqa: E402
 from repro.sim.store import ResultStore  # noqa: E402
+from repro.sim.system import simulate  # noqa: E402
 from repro.experiments.environments import simulation_config  # noqa: E402
 from repro.experiments.registry import get_experiment  # noqa: E402
 from repro.experiments.scale import QUICK  # noqa: E402
@@ -157,42 +155,6 @@ def _resilience_phase(jobs: int) -> dict:
     return {"total_s": round(total, 3), "tasks": counts["tasks"]}
 
 
-def _dist_phase(jobs: int, workers: int) -> dict:
-    """Time the pipeline under the distributed coordinator.
-
-    Storeless (no shard sync, no journal I/O in the way): this
-    measures the pure cost of sharding, the wire protocol, and the
-    merge loop, with aggregate parallelism matched to ``jobs``.
-    """
-    runner = DistributedRunner(workers=workers, jobs=jobs)
-    started = time.perf_counter()
-    try:
-        timings = _time_pipeline(runner)
-    finally:
-        runner.close()
-    total = time.perf_counter() - started
-    counts = {
-        k: v for k, v in runner.dist_counters.as_dict().items() if v
-    }
-    return {
-        "scale": "quick",
-        "workers": workers,
-        "jobs": jobs,
-        "wall_clock_s": {k: round(v, 3) for k, v in timings.items()},
-        "total_s": round(total, 3),
-        "counters": counts,
-    }
-
-
-def _results_identical(scalar, vector) -> bool:
-    return (
-        scalar.l1_misses == vector.l1_misses
-        and scalar.l2_misses == vector.l2_misses
-        and scalar.mmu_counters.values == vector.mmu_counters.values
-        and scalar.performance == vector.performance
-    )
-
-
 def _vector_phase() -> dict:
     """Replay every QUICK benchmark with both engines; time and verify.
 
@@ -223,7 +185,7 @@ def _vector_phase() -> dict:
                 elapsed = time.perf_counter() - started
                 best = elapsed if best is None else min(best, elapsed)
             vector_s += best
-            if not _results_identical(scalar, vector):
+            if result_digest(scalar) != result_digest(vector):
                 identical = False
                 print(
                     f"FAIL: vector result diverges from scalar for "
@@ -286,21 +248,6 @@ def main(argv=None) -> int:
              "plain parallel time",
     )
     parser.add_argument(
-        "--max-dist-overhead", type=float, default=None, metavar="X",
-        help="also run the pipeline under the distributed coordinator "
-             "(--dist-workers subprocesses) and fail if it exceeds X "
-             "times the plain parallel time",
-    )
-    parser.add_argument(
-        "--dist-workers", type=int, default=3, metavar="N",
-        help="worker subprocesses for the distributed phase "
-             "(default: 3)",
-    )
-    parser.add_argument(
-        "--dist-output", default="BENCH_dist.json", metavar="FILE",
-        help="where to write the distributed-phase JSON artifact",
-    )
-    parser.add_argument(
         "--min-vector-speedup", type=float, default=None, metavar="X",
         help="also time scalar-vs-vector replay over every QUICK "
              "benchmark and design, verify bit-identity, and fail if "
@@ -314,16 +261,24 @@ def main(argv=None) -> int:
 
     print(f"benchmarking fig18+fig21 at QUICK scale (jobs={args.jobs})")
 
-    monolithic_runner = ExperimentRunner(monolithic=True)
-    mono_started = time.perf_counter()
-    mono_timings = _time_pipeline(monolithic_runner)
-    mono_total = time.perf_counter() - mono_started
-    accesses = _simulated_accesses(monolithic_runner)
-
     parallel_runner = ExperimentRunner(jobs=args.jobs)
     par_started = time.perf_counter()
     par_timings = _time_pipeline(parallel_runner)
     par_total = time.perf_counter() - par_started
+    accesses = _simulated_accesses(parallel_runner)
+
+    mono_started = time.perf_counter()
+    mono_results = {
+        config: simulate(config) for config in parallel_runner._cache
+    }
+    mono_total = time.perf_counter() - mono_started
+    diverged = sorted(
+        f"{config.benchmark}/{config.design.value}"
+        for config, result in mono_results.items()
+        if result_digest(result) != result_digest(
+            parallel_runner._cache[config]
+        )
+    )
 
     scenarios = len(
         {scenario_config(config) for config in parallel_runner._cache}
@@ -333,11 +288,10 @@ def main(argv=None) -> int:
         "scale": "quick",
         "jobs": args.jobs,
         "figures": list(FIGURES),
-        "simulation_runs": len(monolithic_runner._cache),
+        "simulation_runs": len(mono_results),
         "scenarios_captured": scenarios,
         "simulated_accesses": accesses,
         "serial_monolithic": {
-            "wall_clock_s": {k: round(v, 3) for k, v in mono_timings.items()},
             "total_s": round(mono_total, 3),
             "accesses_per_sec": round(accesses / mono_total, 1),
         },
@@ -348,6 +302,7 @@ def main(argv=None) -> int:
         },
         "speedup": round(speedup, 3),
         "min_speedup": args.min_speedup,
+        "diverged": diverged,
     }
 
     if not args.skip_store:
@@ -375,20 +330,6 @@ def main(argv=None) -> int:
         report["resilience"]["max_overhead_ratio"] = (
             args.max_resilience_overhead
         )
-
-    dist_report = None
-    dist_overhead = None
-    if args.max_dist_overhead is not None:
-        dist_report = _dist_phase(args.jobs, args.dist_workers)
-        dist_overhead = (
-            dist_report["total_s"] / par_total if par_total > 0 else 0.0
-        )
-        dist_report["overhead_ratio"] = round(dist_overhead, 3)
-        dist_report["max_overhead_ratio"] = args.max_dist_overhead
-        dist_report["parallel_total_s"] = round(par_total, 3)
-        with open(args.dist_output, "w") as handle:
-            json.dump(dist_report, handle, indent=2)
-            handle.write("\n")
 
     vector_report = None
     if args.min_vector_speedup is not None:
@@ -423,11 +364,6 @@ def main(argv=None) -> int:
         print(f"resilience ovrhd  : {resilience_overhead:8.2f}x "
               f"({report['resilience']['tasks']} tasks, threshold "
               f"{args.max_resilience_overhead}x)")
-    if dist_overhead is not None:
-        print(f"distributed ovrhd : {dist_overhead:8.2f}x "
-              f"({dist_report['counters'].get('merged', 0)} groups "
-              f"merged over {args.dist_workers} workers, threshold "
-              f"{args.max_dist_overhead}x); wrote {args.dist_output}")
     if vector_report is not None:
         print(f"vector replay     : {vector_report['scalar_total_s']:8.2f}s "
               f"scalar / {vector_report['vector_total_s']:.2f}s vector = "
@@ -436,6 +372,11 @@ def main(argv=None) -> int:
     print(f"wrote {args.output}")
 
     failed = False
+    if diverged:
+        print(f"FAIL: {len(diverged)} capture+replay result(s) differ "
+              f"from simulate(): {', '.join(diverged[:4])}",
+              file=sys.stderr)
+        failed = True
     if speedup < args.min_speedup:
         print(f"FAIL: speedup {speedup:.2f}x < required "
               f"{args.min_speedup}x", file=sys.stderr)
@@ -453,13 +394,6 @@ def main(argv=None) -> int:
     ):
         print(f"FAIL: resilience overhead {resilience_overhead:.2f}x > "
               f"allowed {args.max_resilience_overhead}x", file=sys.stderr)
-        failed = True
-    if (
-        dist_overhead is not None
-        and dist_overhead > args.max_dist_overhead
-    ):
-        print(f"FAIL: distributed overhead {dist_overhead:.2f}x > "
-              f"allowed {args.max_dist_overhead}x", file=sys.stderr)
         failed = True
     if vector_report is not None:
         if not vector_report["identical"]:
