@@ -11,11 +11,11 @@ legal TLB entries:
   and the kernel through lightweight hook points. Enable them with
   ``COLT_SANITIZE=1`` (or ``SimulationConfig(sanitize=True)``); the
   default hot path stays unchanged.
-* **Repo lint** (:mod:`repro.analysis.lint`) -- AST rules that keep
-  randomness flowing through :class:`repro.common.rng.SeedSequencer`,
-  wall-clock reads out of simulation code, and other determinism
-  hazards out of ``src/repro``. CLI: ``colt-lint`` /
-  ``python tools/lint.py``.
+* **Repo lint** (:mod:`repro.analysis.static.lint_rules`) -- AST rules
+  that keep randomness flowing through
+  :class:`repro.common.rng.SeedSequencer`, wall-clock reads out of
+  simulation code, and other determinism hazards out of ``src/repro``.
+  CLI: ``python tools/analyze.py src --passes lint --no-baseline``.
 * **Determinism harness** (:mod:`repro.analysis.determinism`) -- runs a
   configuration twice with the same seed and asserts the final counter
   / page-table / TLB state hashes are bit-identical, catching the
@@ -27,7 +27,6 @@ this package (the structures import their sanitizers). Import it
 directly where needed.
 """
 
-from repro.analysis.lint import Diagnostic, lint_paths, lint_source
 from repro.analysis.sanitizers import (
     SANITIZE_ENV,
     BuddySanitizer,
@@ -39,9 +38,6 @@ from repro.analysis.sanitizers import (
 )
 
 __all__ = [
-    "Diagnostic",
-    "lint_paths",
-    "lint_source",
     "SANITIZE_ENV",
     "BuddySanitizer",
     "PageTableSanitizer",

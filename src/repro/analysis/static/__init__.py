@@ -1,7 +1,7 @@
 """Project-wide static analysis for the CoLT reproduction repo.
 
-``repro.analysis.lint`` enforces single-file determinism rules; this
-package adds the *cross-file* checks that PRs 2-5 made necessary:
+The single-file determinism rules (``lint_rules``) run here as one
+pass beside the *cross-file* checks:
 
 ``model``
     One shared :class:`~repro.analysis.static.model.ProjectModel` --

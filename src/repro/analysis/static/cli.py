@@ -6,9 +6,8 @@ the checked-in baseline, and reports in text, JSON, or SARIF. Doc
 freshness (``--check-docs`` / ``--write-docs``) and the vectorization
 report (``--vectorization-report``) ride on the same parsed model.
 
-Exit codes mirror ``colt-lint``: 0 clean, 1 new findings (or stale
-docs), 2 usage errors. ``colt-lint`` itself is an alias for
-``colt-analyze --passes lint --no-baseline``.
+Exit codes: 0 clean, 1 new findings (or stale docs), 2 usage errors.
+``--passes lint --no-baseline`` runs the determinism lint alone.
 """
 
 from __future__ import annotations

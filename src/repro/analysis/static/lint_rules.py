@@ -1,11 +1,18 @@
 """The determinism lint rules, as a pass on the shared framework.
 
-The rule set, allow-lists, and messages are unchanged from the original
-single-file ``repro.analysis.lint`` (see its docstring for the why of
-each rule); only the plumbing moved: the AST visitor now emits
+The simulator's headline guarantee is that a configuration plus a seed
+fully determines every number in every figure. That guarantee is easy to
+lose to one careless line -- a ``random.shuffle`` here, a
+``time.time()`` mixed into a filename there -- and impossible to protect
+with generic linters. The AST visitor here emits
 :class:`~repro.analysis.static.passes.Finding` objects and is driven by
-:class:`LintPass` over a :class:`ProjectModel`, so the pragma and
-baseline machinery are shared with every other analyzer.
+:class:`LintPass` over a :class:`ProjectModel`, so the
+``# colt-lint: disable=...`` pragma and the baseline machinery are
+shared with every other analyzer.
+
+Run as ``python tools/analyze.py src --passes lint --no-baseline``
+(or ``colt-analyze --passes lint --no-baseline``); exits nonzero when
+findings were emitted.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ RULES = (
 #: and the watchdog (stall/memory monitoring is inherently about real
 #: time; nothing it measures reaches a SimulationResult).
 WALL_CLOCK_ALLOW = (
-    "tools/lint.py",
     "tools/calibrate.py",
     "tools/bench_runner.py",
     "tools/obs_report.py",
@@ -43,7 +49,6 @@ WALL_CLOCK_ALLOW = (
 #: Library files under ``repro/`` that are CLI front-ends in disguise
 #: (runnable via ``python -m``/console scripts) and may print directly.
 PRINT_ALLOW = (
-    "repro/analysis/lint.py",
     "repro/analysis/determinism.py",
     # colt-analyze's output layer.
     "repro/analysis/static/cli.py",

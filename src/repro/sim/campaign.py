@@ -102,10 +102,7 @@ def campaign_fingerprint(scale, experiment_ids: Sequence[str]) -> str:
 
     A resumed campaign must refuse to mix results across scale presets,
     experiment lists, or architectural-constant changes -- any of those
-    silently changes every number in the paper. The replay engine
-    (``--engine`` / ``COLT_ENGINE``) is deliberately *not* part of the
-    fingerprint: both engines produce bit-identical results, so a
-    campaign interrupted under one may resume under the other.
+    silently changes every number in the paper.
     """
     payload = {
         "version": CAMPAIGN_VERSION,

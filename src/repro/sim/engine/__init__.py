@@ -1,4 +1,4 @@
-"""Replay engine selection: the scalar oracle vs the vectorized engine.
+"""Replay engines: the vectorized run-time engine and the scalar oracle.
 
 ``repro.sim.replay.replay_scenario`` is the bit-exact scalar oracle: one
 Python-interpreted ``MMU.access`` per simulated access. The vectorized
@@ -12,75 +12,35 @@ lean scalar step. The two engines produce bit-identical
 ``SimulationResult`` tables, MMU counters and coalescing histograms --
 enforced by ``tests/test_engine.py`` and the CI bench gate.
 
-Selection: the ``--engine {scalar,vector}`` CLI flag, or the
-``COLT_ENGINE`` environment variable (flag wins). ``COLT_EPOCH_MAX``
-bounds the epoch chunk the vectorized engine scans at once.
-
-Sanitized runs (``COLT_SANITIZE`` / ``sanitize=True``) always take the
-scalar path: the sanitizers attach to the live TLB objects, which the
-vectorized engine does not materialise.
+Every run replays through the vectorized engine. The scalar oracle
+stays as the reference in tests and ``tools/bench_runner.py``, and as
+the sanitized path: sanitized runs (``COLT_SANITIZE`` /
+``sanitize=True``) replay on the scalar engine, because the sanitizers
+attach to the live TLB objects, which the vectorized engine does not
+materialise.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.common.errors import ConfigurationError
-from repro.sim.replay import replay_scenario
+from repro.analysis.sanitizers import resolve_sanitize
+from repro.sim.engine.vector import vector_replay_scenario
 from repro.sim.scenario import CapturedScenario
 from repro.sim.system import SimulationConfig, SimulationResult
 
-#: Environment variable selecting the replay engine.
-ENGINE_ENV = "COLT_ENGINE"
 
-#: Environment variable bounding the vectorized engine's epoch chunk
-#: (accesses scanned per coverage pass).
-EPOCH_MAX_ENV = "COLT_EPOCH_MAX"
+def resolve_engine(explicit: Optional[bool] = None) -> str:
+    """Name the engine a replay takes: ``"scalar"`` when sanitized.
 
-#: Recognised engine names, in precedence-documentation order.
-ENGINES = ("scalar", "vector")
-
-DEFAULT_ENGINE = "scalar"
-DEFAULT_EPOCH_MAX = 4096
-
-
-def resolve_engine(explicit: Optional[str] = None) -> str:
-    """Resolve an engine name: explicit argument > ``COLT_ENGINE`` > scalar.
-
-    Raises:
-        ConfigurationError: the name is not one of :data:`ENGINES`.
+    ``explicit`` is a config's ``sanitize`` field; ``None`` defers to
+    ``COLT_SANITIZE``, as :func:`resolve_sanitize` does.
     """
-    raw = explicit if explicit is not None else os.environ.get(ENGINE_ENV, "")
-    name = raw.strip().lower() or DEFAULT_ENGINE
-    if name not in ENGINES:
-        raise ConfigurationError(
-            f"unknown replay engine {name!r}; expected one of "
-            f"{', '.join(ENGINES)}"
-        )
-    return name
-
-
-def epoch_max() -> int:
-    """Vector-engine epoch chunk bound (``COLT_EPOCH_MAX``, >= 1)."""
-    raw = os.environ.get(EPOCH_MAX_ENV, "").strip()
-    if not raw:
-        return DEFAULT_EPOCH_MAX
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_EPOCH_MAX
-    return max(1, value)
+    return "scalar" if resolve_sanitize(explicit) else "vector"
 
 
 def replay_with_engine(
-    scenario: CapturedScenario,
-    config: SimulationConfig,
-    engine: Optional[str] = None,
+    scenario: CapturedScenario, config: SimulationConfig
 ) -> SimulationResult:
-    """Replay ``scenario`` under ``config`` with the selected engine."""
-    if resolve_engine(engine) == "vector":
-        from repro.sim.engine.vector import vector_replay_scenario
-
-        return vector_replay_scenario(scenario, config)
-    return replay_scenario(scenario, config)
+    """Replay ``scenario`` under ``config``: the runner's one dispatch."""
+    return vector_replay_scenario(scenario, config)

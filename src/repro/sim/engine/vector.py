@@ -4,7 +4,7 @@
 This engine replays the same captured scenario in *epochs*: stretches of
 the access log bounded by shootdown events (the loop-carried statements
 named in ``results/analysis/vectorization_replay.md``), chunked at
-``COLT_EPOCH_MAX`` accesses. For each epoch window it
+:data:`EPOCH_MAX` accesses. For each epoch window it
 
 1. exports the L1 SA TLB and the FA/superpage TLB as sorted coverage
    interval arrays (``soa.LeanSetTLB.coverage`` /
@@ -52,7 +52,6 @@ from repro.core.performance import evaluate_performance, perfect_tlb_result
 from repro.obs.hooks import MMUObserver
 from repro.obs.registry import bind_counterset, get_registry
 from repro.obs.trace import span
-from repro.sim.engine import epoch_max
 from repro.sim.engine.records import RecordTable
 from repro.sim.engine.soa import (
     LeanFaTLB,
@@ -64,6 +63,10 @@ from repro.sim.engine.soa import (
 from repro.sim.replay import replay_scenario
 from repro.sim.scenario import CapturedScenario, scenario_config
 from repro.sim.system import SimulationConfig, SimulationResult
+
+#: Accesses scanned per coverage pass (the epoch chunk bound). Read at
+#: use, so tests can shrink it to exercise chunk boundaries.
+EPOCH_MAX = 4096
 
 #: The MMU counter names, in ``MMU.__init__`` order.
 _COUNTERS = (
@@ -205,7 +208,7 @@ class VectorMMU:
                 pending += 1
             self._flush_counters()
             return
-        chunk = epoch_max()
+        chunk = EPOCH_MAX
         index = 0
         while index < n:
             while pending < total_events and before[pending] <= index:

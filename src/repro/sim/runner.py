@@ -9,7 +9,8 @@ split of ``repro.sim.scenario`` / ``repro.sim.replay``:
    scenario (:func:`repro.sim.scenario.scenario_config`) and run the
    OS+workload interleaving exactly once per group.
 2. **Replay** -- stream each captured log through every requested
-   design's MMU; pure TLB work, no kernel or trace generation.
+   design's MMU on the vectorized engine (:mod:`repro.sim.engine`);
+   pure TLB work, no kernel or trace generation.
 
 Both phases fan out across a ``ProcessPoolExecutor`` when ``jobs > 1``,
 through the crash-tolerant :class:`repro.sim.resilience.ResilientExecutor`:
@@ -63,7 +64,7 @@ from repro.sim.metrics import (
     elimination_row,
     performance_row,
 )
-from repro.sim.engine import replay_with_engine, resolve_engine
+from repro.sim.engine import replay_with_engine
 from repro.sim.scenario import CapturedScenario, capture_scenario, scenario_config
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulationConfig, SimulationResult
@@ -115,21 +116,12 @@ def _replay_task(
     configs: Sequence[SimulationConfig],
     faults: Optional[FaultPlan],
     index: int,
-    engine: str,
     attempt: int = 0,
 ) -> Tuple[List[SimulationResult], Optional[ObsPayload]]:
-    """Worker entry point: replay one scenario under several configs.
-
-    ``engine`` is threaded explicitly (rather than re-read from the
-    environment) so pool workers replay with the engine the parent
-    resolved, even when the parent was configured programmatically.
-    """
+    """Worker entry point: replay one scenario under several configs."""
     if faults is not None:
         faults.fire("replay", index, attempt)
-    results = [
-        replay_with_engine(scenario, config, engine=engine)
-        for config in configs
-    ]
+    results = [replay_with_engine(scenario, config) for config in configs]
     return results, _drain_if_pooled()
 
 
@@ -142,16 +134,13 @@ def _capture_context(config: SimulationConfig) -> Dict[str, object]:
     }
 
 
-def _replay_context(
-    chunk: Sequence[SimulationConfig], engine: str
-) -> Dict[str, object]:
+def _replay_context(chunk: Sequence[SimulationConfig]) -> Dict[str, object]:
     first = chunk[0]
     return {
         "stage": "replay",
         "benchmark": first.benchmark,
         "seed": first.seed,
         "designs": ",".join(config.design.value for config in chunk),
-        "engine": engine,
     }
 
 
@@ -184,12 +173,6 @@ class ExperimentRunner:
             polled between (and during) waves; a requested shutdown
             raises :class:`~repro.common.errors.ShutdownRequested` with
             every already-completed result checkpointed.
-        engine: replay engine name (``"scalar"`` or ``"vector"``);
-            ``None`` defers to ``COLT_ENGINE`` and then the scalar
-            default. The engine changes how replay outcomes are
-            computed, never what they are (the vector engine is
-            bit-identical to the scalar oracle), so it is deliberately
-            excluded from result cache and store keys.
         watchdog: optional :class:`repro.sim.watchdog.Watchdog`. The
             runner heartbeats it per completed task and honours its
             memory degradation ladder: rung 1 halves the worker pool,
@@ -207,10 +190,8 @@ class ExperimentRunner:
         faults: Optional[FaultPlan] = None,
         shutdown=None,
         watchdog: Optional[Watchdog] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self._jobs = max(1, int(jobs)) if jobs else 1
-        self._engine = resolve_engine(engine)
         self._store = store
         self._policy = policy if policy is not None else RetryPolicy.from_env()
         self._faults = faults if faults is not None else FaultPlan.from_env()
@@ -443,13 +424,10 @@ class ExperimentRunner:
             replay_tasks = [
                 TaskSpec(
                     fn=_replay_task,
-                    args=(
-                        self._scenarios[key], chunk, self._faults, index,
-                        self._engine,
-                    ),
+                    args=(self._scenarios[key], chunk, self._faults, index),
                     site="replay",
                     index=index,
-                    context=_replay_context(chunk, self._engine),
+                    context=_replay_context(chunk),
                 )
                 for index, (key, chunk) in enumerate(replay_chunks)
             ]

@@ -9,15 +9,26 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.lint import (
-    RULES,
-    iter_python_files,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.analysis.static.cli import main as analyze_main
+from repro.analysis.static.lint_rules import RULES, LintPass
+from repro.analysis.static.model import ProjectModel, iter_python_files
+from repro.analysis.static.passes import run_passes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+
+def lint_source(source, path):
+    project = ProjectModel.from_sources([(path, source)])
+    return run_passes(project, [LintPass()])
+
+
+def lint_paths(paths):
+    return run_passes(ProjectModel.from_paths(paths), [LintPass()])
+
+
+def main(argv):
+    """The CI lint step: ``tools/analyze.py --passes lint --no-baseline``."""
+    return analyze_main(["--passes", "lint", "--no-baseline", *argv])
 
 
 def rules_of(source, path="sim/module.py"):
@@ -151,7 +162,7 @@ class TestNoPrint:
 
     def test_allow_listed_cli_tools_exempt(self):
         source = "print('diagnostic')\n"
-        assert rules_of(source, "src/repro/analysis/lint.py") == []
+        assert rules_of(source, "src/repro/analysis/static/cli.py") == []
         assert rules_of(source, "src/repro/analysis/determinism.py") == []
 
     def test_outside_repro_tree_exempt(self):

@@ -4,33 +4,26 @@ The vector engine is only a valid optimisation if it is *invisible* in
 the results: every design, every MMU-override knob, every epoch
 boundary and every fault-recovery path must produce results
 bit-identical to ``repro.sim.replay.replay_scenario``. These tests pin
-that contract, plus the engine-selection plumbing (``--engine`` /
-``COLT_ENGINE`` / ``COLT_EPOCH_MAX``) around it.
+that contract, plus the runner's one replay dispatch around it.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.analysis.sanitizers import SANITIZE_ENV
 from repro.core.mmu import CoLTDesign, make_mmu_config
 from repro.obs.registry import MetricsRegistry, get_registry, set_registry
 from repro.obs.trace import PROFILE_ENV, reset_tracing
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
-from repro.sim.engine import (
-    DEFAULT_EPOCH_MAX,
-    ENGINE_ENV,
-    EPOCH_MAX_ENV,
-    epoch_max,
-    replay_with_engine,
-    resolve_engine,
-)
+from repro.sim.engine import replay_with_engine, resolve_engine
+from repro.sim.engine import vector as vector_module
 from repro.sim.engine.vector import VectorMMU, vector_replay_scenario
 from repro.sim.faults import FaultPlan
 from repro.sim.replay import replay_scenario
 from repro.sim.resilience import RetryPolicy
-from repro.sim.runner import ExperimentRunner
+from repro.sim.runner import STANDARD_DESIGNS, ExperimentRunner
 from repro.sim.scenario import capture_scenario
 from repro.sim.system import SimulationConfig
 from repro.experiments.environments import simulation_config
@@ -69,10 +62,15 @@ def assert_identical(scalar, vector):
     assert vector.contiguity == scalar.contiguity
 
 
-@pytest.fixture(autouse=True)
-def _engine_env_clean(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    monkeypatch.delenv(EPOCH_MAX_ENV, raising=False)
+def oracle_designs(base):
+    """``run_designs`` computed on the scalar oracle: one capture."""
+    scenario = capture_scenario(base)
+    return {
+        design: replay_scenario(
+            scenario, base.with_updates(design=design, mmu=None)
+        )
+        for design in STANDARD_DESIGNS
+    }
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +145,7 @@ class TestBitIdentity:
 
     def test_tiny_epoch_chunks(self, small_scenario, monkeypatch):
         """Chunking the log into 8-access epochs changes nothing."""
-        monkeypatch.setenv(EPOCH_MAX_ENV, "8")
+        monkeypatch.setattr(vector_module, "EPOCH_MAX", 8)
         config = small_config()
         assert_identical(
             replay_scenario(small_scenario, config),
@@ -213,28 +211,17 @@ class TestGracefulOverflow:
 
 
 class TestEngineSelection:
-    def test_resolve_engine_precedence(self, monkeypatch):
-        assert resolve_engine() == "scalar"
-        monkeypatch.setenv(ENGINE_ENV, "vector")
+    def test_resolve_engine_names_the_sanitized_scalar_path(
+        self, monkeypatch
+    ):
+        """The recorded engine is the one replays take: scalar iff
+        sanitizers are on (config flag first, then the environment)."""
+        monkeypatch.delenv(SANITIZE_ENV, raising=False)
         assert resolve_engine() == "vector"
-        assert resolve_engine("scalar") == "scalar"  # explicit wins
-
-    def test_resolve_engine_rejects_unknown(self):
-        with pytest.raises(ConfigurationError):
-            resolve_engine("turbo")
-
-    def test_runner_rejects_unknown_engine(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentRunner(engine="turbo")
-
-    def test_epoch_max_parsing(self, monkeypatch):
-        assert epoch_max() == DEFAULT_EPOCH_MAX
-        monkeypatch.setenv(EPOCH_MAX_ENV, "512")
-        assert epoch_max() == 512
-        monkeypatch.setenv(EPOCH_MAX_ENV, "0")
-        assert epoch_max() == 1
-        monkeypatch.setenv(EPOCH_MAX_ENV, "not-a-number")
-        assert epoch_max() == DEFAULT_EPOCH_MAX
+        assert resolve_engine(True) == "scalar"
+        monkeypatch.setenv(SANITIZE_ENV, "1")
+        assert resolve_engine() == "scalar"
+        assert resolve_engine(False) == "vector"
 
     def test_sanitized_runs_take_the_scalar_path(self):
         """Sanitizers attach to live TLB objects: vector must defer."""
@@ -242,7 +229,7 @@ class TestEngineSelection:
         scenario = capture_scenario(config)
         assert_identical(
             replay_scenario(scenario, config),
-            replay_with_engine(scenario, config, engine="vector"),
+            replay_with_engine(scenario, config),
         )
 
 
@@ -250,21 +237,17 @@ class TestRunnerIntegration:
     def test_vector_runner_matches_scalar_baseline(self):
         """The full fan-out path, vector engine end to end."""
         base = small_config(accesses=1500, design=CoLTDesign.BASELINE)
-        scalar = ExperimentRunner(jobs=1).run_designs(base)
-        vector = ExperimentRunner(jobs=1, engine="vector").run_designs(base)
-        assert scalar == vector
+        vector = ExperimentRunner(jobs=1).run_designs(base)
+        assert vector == oracle_designs(base)
 
     def test_faulted_vector_run_matches_scalar_baseline(self):
         """Chaos case: a faulted vector run recovers to the fault-free
         scalar results -- retries re-enter the vector engine, and the
         engines stay interchangeable under the resilience machinery."""
         base = small_config(accesses=1500, design=CoLTDesign.BASELINE)
-        scalar = ExperimentRunner(
-            jobs=1, policy=RetryPolicy(max_retries=0)
-        ).run_designs(base)
+        scalar = oracle_designs(base)
         runner = ExperimentRunner(
             jobs=2,
-            engine="vector",
             policy=RetryPolicy(max_retries=3, backoff_s=0.01),
             faults=FaultPlan.parse("raise@replay:0"),
         )

@@ -202,7 +202,7 @@ class TestGate:
     def test_committed_baseline_is_loadable(self):
         baseline = load_baseline(REPO_ROOT / "tools" / "history_baseline.json")
         assert baseline["match"] == {
-            "figure": "fig18", "scale": "quick", "engine": "scalar",
+            "figure": "fig18", "scale": "quick", "engine": "vector",
         }
         assert len(baseline["exact_counters"]) >= 30
         assert baseline["ceilings"]["wall.total"] > 0
