@@ -28,21 +28,21 @@ directly where needed.
 """
 
 from repro.analysis.sanitizers import (
+    FULL_SCAN_INTERVAL,
     SANITIZE_ENV,
     BuddySanitizer,
     PageTableSanitizer,
     TLBSanitizer,
-    full_scan_interval,
     resolve_sanitize,
     sanitizers_enabled,
 )
 
 __all__ = [
+    "FULL_SCAN_INTERVAL",
     "SANITIZE_ENV",
     "BuddySanitizer",
     "PageTableSanitizer",
     "TLBSanitizer",
-    "full_scan_interval",
     "resolve_sanitize",
     "sanitizers_enabled",
 ]

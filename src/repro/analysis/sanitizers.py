@@ -14,7 +14,7 @@ path when disabled) and run two kinds of checks:
 * **incremental** -- O(1)-ish validations of the object just touched,
   on every fill / fault / allocator operation;
 * **full scans** -- complete structure walks every
-  :func:`full_scan_interval` events, plus on demand (the system
+  :data:`FULL_SCAN_INTERVAL` events, plus on demand (the system
   simulator runs one at the end of every sanitized run).
 
 Enable with ``COLT_SANITIZE=1`` (any of ``1/true/yes/on``), or pass
@@ -41,10 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: Environment variable that switches every sanitizer on.
 SANITIZE_ENV = "COLT_SANITIZE"
 
-#: Environment variable overriding the full-scan interval (in events).
-SANITIZE_EVERY_ENV = "COLT_SANITIZE_EVERY"
-
-_DEFAULT_FULL_SCAN_INTERVAL = 4096
+#: Events between full-structure scans (``Sanitizer(every=...)``
+#: overrides it per instance).
+FULL_SCAN_INTERVAL = 4096
 
 _FALSEY = frozenset(("", "0", "false", "no", "off"))
 
@@ -61,25 +60,13 @@ def resolve_sanitize(explicit: Optional[bool]) -> bool:
     return bool(explicit)
 
 
-def full_scan_interval() -> int:
-    """Events between full-structure scans (``COLT_SANITIZE_EVERY``)."""
-    raw = os.environ.get(SANITIZE_EVERY_ENV, "").strip()
-    if not raw:
-        return _DEFAULT_FULL_SCAN_INTERVAL
-    try:
-        value = int(raw)
-    except ValueError:
-        return _DEFAULT_FULL_SCAN_INTERVAL
-    return max(1, value)
-
-
 class Sanitizer:
     """Base class: violation reporting + periodic full scans."""
 
     name = "sanitizer"
 
-    def __init__(self, every: Optional[int] = None) -> None:
-        self.every = every if every is not None else full_scan_interval()
+    def __init__(self, every: int = FULL_SCAN_INTERVAL) -> None:
+        self.every = every
         self._events = 0
         self.counters = CounterSet(
             ["incremental_checks", "full_scans", "violations"]
@@ -123,7 +110,7 @@ class TLBSanitizer(Sanitizer):
 
     name = "tlb-sanitizer"
 
-    def __init__(self, mmu: "MMU", every: Optional[int] = None) -> None:
+    def __init__(self, mmu: "MMU", every: int = FULL_SCAN_INTERVAL) -> None:
         super().__init__(every)
         self.mmu = mmu
 
@@ -384,7 +371,7 @@ class BuddySanitizer(Sanitizer):
         self,
         buddy: "BuddyAllocator",
         physical=None,
-        every: Optional[int] = None,
+        every: int = FULL_SCAN_INTERVAL,
     ) -> None:
         super().__init__(every)
         self.buddy = buddy
@@ -483,7 +470,9 @@ class PageTableSanitizer(Sanitizer):
 
     name = "page-table-sanitizer"
 
-    def __init__(self, kernel: "Kernel", every: Optional[int] = None) -> None:
+    def __init__(
+        self, kernel: "Kernel", every: int = FULL_SCAN_INTERVAL
+    ) -> None:
         super().__init__(every)
         self.kernel = kernel
 

@@ -17,10 +17,9 @@ pass beside the *cross-file* checks:
     The single declarative source of truth for every ``COLT_*`` env
     knob, metric/counter name, fault site, and trace span.
 
-``coherence`` / ``concurrency`` / ``hygiene`` / ``vectorization``
-    The four cross-file analyzers (registry coherence, concurrency
-    safety, exception hygiene, and the vectorization-readiness report
-    that seeds ROADMAP item 1).
+``coherence`` / ``concurrency`` / ``hygiene``
+    The three cross-file analyzers (registry coherence, concurrency
+    safety, exception hygiene).
 
 ``cli``
     The ``colt-analyze`` entry point: text/JSON/SARIF output, a

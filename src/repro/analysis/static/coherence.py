@@ -1,7 +1,7 @@
 """Registry coherence: code and the declarative registry must agree.
 
 Extraction is *call-shape based* -- names are read from the argument
-positions where they mean something (``os.environ`` literals and
+positions where they mean something (environment-lookup literals and
 ``*_ENV`` constants for knobs, ``registry.counter(...)`` /
 ``bind_counterset(...)`` first-name arguments for metrics,
 ``span(...)``/``.instant(...)``/``.counter(..., cat=...)`` for trace

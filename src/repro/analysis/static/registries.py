@@ -78,20 +78,8 @@ KNOBS: Tuple[EnvKnob, ...] = (
         "cross-checks) during simulation",
     ),
     EnvKnob(
-        "COLT_SANITIZE_EVERY", "4096", "repro/analysis/sanitizers.py", None,
-        "events between full-structure sanitizer scans",
-    ),
-    EnvKnob(
-        "COLT_TRACE", "off", "repro/obs/trace.py", "--trace",
+        "COLT_TRACE", "off", "repro/obs/trace.py", "--trace / --report",
         "enable the in-process tracer (Chrome-trace event ring)",
-    ),
-    EnvKnob(
-        "COLT_TRACE_BUFFER", "262144", "repro/obs/trace.py", None,
-        "trace ring-buffer capacity, in events",
-    ),
-    EnvKnob(
-        "COLT_TRACE_SAMPLE", "64", "repro/obs/trace.py", None,
-        "keep every Nth high-rate instant event (TLB instants)",
     ),
     EnvKnob(
         "COLT_PROFILE", "off", "repro/obs/trace.py", "--profile",
@@ -105,47 +93,6 @@ KNOBS: Tuple[EnvKnob, ...] = (
     EnvKnob(
         "COLT_FAULTS", "(unset)", "repro/sim/faults.py", None,
         "fault-injection plan, ';'-separated kind@site:index clauses",
-    ),
-    EnvKnob(
-        "COLT_RETRIES", "2", "repro/sim/resilience.py", "--retries",
-        "resubmissions allowed per failed task (0 disables retrying)",
-    ),
-    EnvKnob(
-        "COLT_TASK_TIMEOUT", "(none)", "repro/sim/resilience.py",
-        "--task-timeout",
-        "per-task deadline in seconds for pooled execution",
-    ),
-    EnvKnob(
-        "COLT_BACKOFF", "0.05", "repro/sim/resilience.py", None,
-        "base sleep in seconds before the first retry "
-        "(deterministic exponential backoff)",
-    ),
-    EnvKnob(
-        "COLT_STALL_TIMEOUT", "0 (disabled)", "repro/sim/watchdog.py",
-        "--stall-timeout",
-        "seconds without task completion before the stall watchdog "
-        "dumps stacks and requeues",
-    ),
-    EnvKnob(
-        "COLT_MEM_BUDGET", "0 (disabled)", "repro/sim/watchdog.py",
-        "--mem-budget",
-        "RSS budget in MiB; breaches climb the degradation ladder",
-    ),
-    EnvKnob(
-        "COLT_DUMP_DIR", ".colt-cache/dumps", "repro/sim/watchdog.py",
-        "--dump-dir",
-        "directory for watchdog stall / task-deadline stack dumps",
-    ),
-    EnvKnob(
-        "COLT_TELEMETRY_PORT", "(unset)", "repro/obs/serve.py",
-        "--telemetry-port",
-        "serve /metrics, /progress and /healthz over HTTP on this "
-        "127.0.0.1 port while a run is in flight (0 = ephemeral)",
-    ),
-    EnvKnob(
-        "COLT_HISTORY", "on", "repro/obs/history.py", None,
-        "set to 0/off to skip appending the per-run "
-        "colt-history-v1 record to <cache>/history/history.jsonl",
     ),
     EnvKnob(
         "REPRO_SCALE", "default", "repro/experiments/scale.py", None,

@@ -107,5 +107,5 @@ class StallError(SimulationError):
 
 
 class MemoryBudgetError(ReproError):
-    """RSS exceeded ``COLT_MEM_BUDGET`` after every degradation rung
+    """RSS exceeded the ``--mem-budget`` after every degradation rung
     (pool shrink, prefetch disable) had already been applied."""

@@ -5,9 +5,9 @@ Runs one or more experiments (or ``all``) at the scale selected by
 
 Simulations fan out across ``--jobs`` worker processes (default: all
 CPUs) -- one OS capture per scenario, one TLB replay per design -- and
-results persist in an on-disk store (``.colt-cache/`` or
-``$COLT_RESULT_CACHE``; see ``repro.sim.store``) so repeated
-invocations only pay for configurations they have not seen.
+results persist in an on-disk store (``--cache-dir``, else
+``$COLT_RESULT_CACHE``, else ``.colt-cache/``; see ``repro.sim.store``)
+so repeated invocations only pay for configurations they have not seen.
 
 Observability (``repro.obs``) is wired here:
 
@@ -15,15 +15,17 @@ Observability (``repro.obs``) is wired here:
   (spans for boot/capture/replay/store, sampled TLB events) plus a
   ``<FILE stem>.metrics.json`` snapshot;
 * ``--profile`` collects the metrics snapshot without event tracing;
-* ``--report [FILE]`` prints (or writes) the human run report;
+* ``--report [FILE]`` prints (or writes) the human run report; it
+  switches the tracer on (the phase table needs spans) without writing
+  a trace file;
 * ``-q`` / ``-v`` control the library log level.
 
-Resilience (``repro.sim.resilience``) is configurable per run:
-``--retries`` / ``--task-timeout`` override the ``COLT_RETRIES`` /
-``COLT_TASK_TIMEOUT`` environment defaults, and a ``COLT_FAULTS`` plan
-(see ``repro.sim.faults``) injects deterministic worker crashes, task
-exceptions, delays and store corruption for chaos testing. When the
-resilience layer absorbed anything, a summary line reports it.
+Resilience (``repro.sim.resilience``) is configurable per run with
+``--retries`` / ``--task-timeout``. A ``COLT_FAULTS`` plan (see
+``repro.sim.faults``), read here once and handed to the runner and the
+store, injects deterministic worker crashes, task exceptions, delays
+and store corruption for chaos testing. When the resilience layer
+absorbed anything, a summary line reports it.
 
 Campaigns (``repro.sim.campaign``): ``--campaign`` runs the requested
 experiments under a crash-safe write-ahead journal
@@ -32,9 +34,9 @@ experiments under a crash-safe write-ahead journal
 ``done`` experiments bit-identically. SIGINT/SIGTERM are handled
 two-stage in both modes: the first signal winds the run down gracefully
 (checkpoint, journal, flush obs artifacts) and exits with status 75;
-a second signal hard-aborts. ``--stall-timeout`` / ``--mem-budget`` /
-``--dump-dir`` arm the stall/memory watchdog
-(``repro.sim.watchdog``).
+a second signal hard-aborts. ``--stall-timeout`` / ``--mem-budget``
+arm the stall/memory watchdog (``repro.sim.watchdog``); its stack
+dumps, like the per-task deadline dumps, land in ``<store root>/dumps``.
 
 The elapsed-time stamps printed here are display-only terminal feedback
 (monotonic ``perf_counter``); they are never serialized into experiment
@@ -57,17 +59,12 @@ from repro.common.errors import (
     ShutdownRequested,
 )
 from repro.obs.export import write_chrome_trace, write_metrics_json
-from repro.obs.history import (
-    build_record,
-    append_record,
-    history_enabled,
-    history_path,
-)
+from repro.obs.history import build_record, append_record, history_path
 from repro.obs.live import get_progress
 from repro.obs.logging import configure_logging
 from repro.obs.registry import get_registry
 from repro.obs.report import RunReport
-from repro.obs.serve import TelemetryServer, telemetry_port_from_env
+from repro.obs.serve import TelemetryServer
 from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
 from repro.sim.campaign import (
     SHUTDOWN_EXIT_CODE,
@@ -81,9 +78,24 @@ from repro.sim.faults import FaultPlan
 from repro.sim.resilience import RetryPolicy
 from repro.sim.runner import ExperimentRunner
 from repro.sim.store import ResultStore
-from repro.sim.watchdog import Watchdog
+from repro.sim.watchdog import Watchdog, dump_dir_for
 from repro.experiments.registry import EXPERIMENTS, resolve_experiments
 from repro.experiments.scale import scale_from_env
+
+
+def _port(text: str) -> int:
+    """argparse ``type`` for ``--telemetry-port``: an int in 0..65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer port, got {text!r}"
+        )
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in [0, 65535], got {port}"
+        )
+    return port
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -107,8 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
-        help="result-store directory (default: $COLT_RESULT_CACHE "
-             "or .colt-cache)",
+        help="result-store directory; stack dumps go to DIR/dumps "
+             "(default: $COLT_RESULT_CACHE or .colt-cache)",
     )
     parser.add_argument(
         "--clear-cache", action="store_true",
@@ -117,12 +129,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--retries", type=int, default=None, metavar="N",
         help="max resubmissions per failed capture/replay task "
-             "(default: $COLT_RETRIES or 2)",
+             "(default: 2)",
     )
     parser.add_argument(
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-task deadline for pooled execution; 0 disables "
-             "(default: $COLT_TASK_TIMEOUT or none)",
+             "(default: none)",
     )
     parser.add_argument(
         "--campaign", action="store_true",
@@ -141,26 +153,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
         help="watchdog: seconds without any task completion before "
              "all-thread stacks are dumped and the stuck task is "
-             "requeued (default: $COLT_STALL_TIMEOUT or off)",
+             "requeued (default: off)",
     )
     parser.add_argument(
         "--mem-budget", type=float, default=None, metavar="MIB",
         help="watchdog: RSS budget in MiB for this process tree; over "
              "budget the runner degrades (shrink pool -> no prefetch "
-             "-> clean abort) (default: $COLT_MEM_BUDGET or off)",
+             "-> clean abort) (default: off)",
     )
     parser.add_argument(
-        "--dump-dir", default=None, metavar="DIR",
-        help="stack-dump directory for the watchdog and per-task "
-             "deadline dumps (default: $COLT_DUMP_DIR or "
-             ".colt-cache/dumps)",
-    )
-    parser.add_argument(
-        "--telemetry-port", type=int, default=None, metavar="PORT",
+        "--telemetry-port", type=_port, default=None, metavar="PORT",
         help="serve live telemetry over HTTP on 127.0.0.1:PORT while "
              "the run is in flight (/metrics Prometheus text, "
              "/progress JSON, /healthz); 0 picks an ephemeral port; "
-             "implies --profile (default: $COLT_TELEMETRY_PORT or off)",
+             "implies --profile (default: off)",
     )
     parser.add_argument(
         "--trace", nargs="?", const="colt-trace.json", default=None,
@@ -175,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--report", nargs="?", const="-", default=None, metavar="FILE",
         help="print the run report ('-' or no value: stdout; else "
-             "write to FILE); implies --profile",
+             "write to FILE); records trace events for its phase "
+             "table, but writes no trace file",
     )
     parser.add_argument(
         "-q", "--quiet", action="store_true",
@@ -204,11 +211,11 @@ def _enable_obs(args) -> bool:
     resolve the tracer once at construction.
     """
     active = False
-    if args.trace is not None:
+    if args.trace is not None or args.report is not None:
+        # The report's phase table is built from spans.
         os.environ[TRACE_ENV] = "1"
         active = True
-    if args.profile or args.report is not None or \
-            args.telemetry_port is not None:
+    if args.profile or args.telemetry_port is not None:
         # Telemetry implies profiling: /metrics and the history record
         # need populated counters, and profiling is the CI-proven
         # bit-identity-safe mode.
@@ -362,14 +369,14 @@ def _run_campaign(
     return 0 if not status.failed else 1
 
 
-def _append_history(args, experiments, runner, store, scale, engine,
-                    jobs, code, phase_wall, total_wall) -> None:
+def _append_history(args, experiments, runner, store, scale, scale_name,
+                    engine, jobs, code, phase_wall, total_wall) -> None:
     """Append the run's ``colt-history-v1`` record (best-effort).
 
     Every store-backed run leaves one record -- including interrupted
     (exit 75) and failed ones, so the trend tables show crashes too.
     """
-    if store is None or not history_enabled():
+    if store is None:
         return
     ids = [experiment.id for experiment in experiments]
     if code == 0:
@@ -390,7 +397,7 @@ def _append_history(args, experiments, runner, store, scale, engine,
         ts=time.time(),
         status=status,
         figure="+".join(ids),
-        scale=os.environ.get("REPRO_SCALE", "").lower() or "default",
+        scale=scale_name,
         engine=engine,
         fingerprint=campaign_fingerprint(scale, ids),
         wall=wall,
@@ -409,6 +416,23 @@ def _append_history(args, experiments, runner, store, scale, engine,
         print(f"history: {status} record appended to {path}")
 
 
+def build_watchdog(args, dump_dir) -> Optional[Watchdog]:
+    """The watchdog ``--stall-timeout`` / ``--mem-budget`` ask for.
+
+    ``None`` when neither is set (or both are 0): a watchdog with
+    nothing to watch would only burn a thread.
+    """
+    if not args.stall_timeout and not args.mem_budget:
+        return None
+    return Watchdog(
+        stall_timeout_s=args.stall_timeout or None,
+        mem_budget_bytes=(
+            int(args.mem_budget * 1024 * 1024) if args.mem_budget else None
+        ),
+        dump_dir=dump_dir,
+    )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if not args.ids:
@@ -416,24 +440,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.resume:
         args.campaign = True
-    if args.telemetry_port is None:
-        args.telemetry_port = telemetry_port_from_env()
 
     configure_logging(-1 if args.quiet else args.verbose)
     engine = resolve_engine()
     obs_enabled = _enable_obs(args)
-    if args.dump_dir is not None:
-        # Exported so pool workers (deadline dumps) agree on the dir.
-        os.environ["COLT_DUMP_DIR"] = args.dump_dir
 
     experiments = resolve_experiments(args.ids)
     scale = scale_from_env()
+    scale_name = os.environ.get("REPRO_SCALE", "").lower() or "default"
+    faults = FaultPlan.from_env()
     store = None
     if not args.no_cache:
         if args.cache_dir is not None:
-            store = ResultStore(args.cache_dir)
+            store = ResultStore(args.cache_dir, faults=faults)
         else:
-            store = ResultStore.from_env()
+            store = ResultStore.from_env(faults=faults)
     if args.campaign and store is None:
         print("--campaign needs the result store; drop --no-cache")
         return 2
@@ -442,21 +463,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"cleared {removed} cached results from {store.root}")
 
     jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
-    policy = RetryPolicy.from_env()
+    policy = RetryPolicy()
     if args.retries is not None:
         policy = replace(policy, max_retries=max(0, args.retries))
-    if args.task_timeout is not None:
-        policy = replace(
-            policy,
-            timeout_s=args.task_timeout if args.task_timeout > 0 else None,
-        )
-    faults = FaultPlan.from_env()
+    if args.task_timeout is not None and args.task_timeout > 0:
+        policy = replace(policy, timeout_s=args.task_timeout)
     shutdown = ShutdownCoordinator().install()
-    watchdog = Watchdog.from_env(
-        stall_timeout_s=args.stall_timeout,
-        mem_budget_mib=args.mem_budget,
-        dump_dir=args.dump_dir,
-    )
+    watchdog = build_watchdog(args, dump_dir_for(store))
     if watchdog is not None:
         watchdog.start()
     runner = ExperimentRunner(
@@ -468,7 +481,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         phase="starting",
         ids=[experiment.id for experiment in experiments],
         engine=engine,
-        scale=os.environ.get("REPRO_SCALE", "").lower() or "default",
+        scale=scale_name,
         jobs=jobs,
         campaign=bool(args.campaign),
     )
@@ -522,8 +535,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if obs_enabled:
             _emit_obs(args, runner)
         _append_history(
-            args, experiments, runner, store, scale, engine, jobs,
-            code, phase_wall, time.perf_counter() - run_started,
+            args, experiments, runner, store, scale, scale_name, engine,
+            jobs, code, phase_wall, time.perf_counter() - run_started,
         )
     finally:
         if telemetry is not None:

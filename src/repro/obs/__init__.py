@@ -37,7 +37,6 @@ from repro.obs.hooks import (
     reset_worker_obs,
 )
 from repro.obs.history import (
-    HISTORY_ENV,
     HISTORY_SCHEMA,
     append_record,
     build_record,
@@ -58,10 +57,8 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport
 from repro.obs.serve import (
-    TELEMETRY_PORT_ENV,
     TelemetryServer,
     prometheus_text,
-    telemetry_port_from_env,
 )
 from repro.obs.trace import (
     PROFILE_ENV,
@@ -80,7 +77,6 @@ from repro.obs.trace import (
 __all__ = [
     "Counter",
     "Gauge",
-    "HISTORY_ENV",
     "HISTORY_SCHEMA",
     "Histogram",
     "KernelObserver",
@@ -91,7 +87,6 @@ __all__ = [
     "PROFILE_ENV",
     "ProgressTracker",
     "RunReport",
-    "TELEMETRY_PORT_ENV",
     "TRACE_ENV",
     "TelemetryServer",
     "TraceEvent",
@@ -116,6 +111,5 @@ __all__ = [
     "reset_worker_obs",
     "set_registry",
     "span",
-    "telemetry_port_from_env",
     "tracing_requested",
 ]

@@ -2,7 +2,7 @@
 
 Every runner/campaign invocation appends one compact JSON record --
 constants fingerprint, engine, scale, per-phase wall times, store hit
-ratio, all counter totals, vector speedup when benched -- to
+ratio, all counter totals -- to
 ``<cache>/history/history.jsonl``. Appends go through
 :mod:`repro.common.atomicio` (read-all, rewrite, ``os.replace``), so a
 kill mid-append leaves the previous history intact, never a torn line.
@@ -25,7 +25,6 @@ allowlist -- passes ``ts`` in.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
@@ -39,24 +38,11 @@ HISTORY_SCHEMA = "colt-history-v1"
 #: Schema tag of committed gate baselines.
 BASELINE_SCHEMA = "colt-history-baseline-v1"
 
-#: Environment knob: set to ``0``/``off``/``false`` to skip appending
-#: history records (e.g. scratch runs that should not pollute trends).
-HISTORY_ENV = "COLT_HISTORY"
-
 #: Statuses a record may carry (mirrors the CLI exit paths: 0 / 75 /
 #: other non-zero).
 STATUSES = ("ok", "interrupted", "failed")
 
 _LOG = get_logger(__name__)
-
-
-def history_enabled(
-    environ: Optional[Mapping[str, str]] = None,
-) -> bool:
-    raw = (environ if environ is not None else os.environ).get(
-        HISTORY_ENV, ""
-    ).strip().lower()
-    return raw not in ("0", "off", "false", "no")
 
 
 def history_path(cache_dir: Union[str, Path]) -> Path:
@@ -79,7 +65,6 @@ def build_record(
     wall: Mapping[str, float],
     counters: Mapping[str, float],
     store: Optional[Mapping[str, float]] = None,
-    vector_speedup: Optional[float] = None,
     campaign: bool = False,
     telemetry: bool = False,
     jobs: int = 1,
@@ -114,8 +99,6 @@ def build_record(
     }
     if store is not None:
         record["store"] = {str(k): float(v) for k, v in sorted(store.items())}
-    if vector_speedup is not None:
-        record["vector_speedup"] = float(vector_speedup)
     return record
 
 
@@ -272,9 +255,9 @@ def gate_record(record: Mapping, baseline: Mapping) -> List[str]:
       match the baseline value *exactly*;
     * ``ceilings`` -- dotted-path metrics (wall times, overhead ratios)
       must be ``<=`` the bound;
-    * ``floors`` -- dotted-path metrics (vector speedup) must be ``>=``
-      the bound, checked only when the record carries the path (a run
-      without a bench attached simply has nothing to check);
+    * ``floors`` -- dotted-path metrics (e.g. ``store.hit_ratio``)
+      must be ``>=`` the bound, checked only when the record carries
+      the path (a store-less run has nothing to check);
     * ``require_status`` (default ``ok``) -- the record's status.
     """
     problems: List[str] = []

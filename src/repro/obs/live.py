@@ -7,8 +7,7 @@ simulated access -- and the telemetry server thread
 (:mod:`repro.obs.serve`) reads a consistent copy to answer
 ``/progress``. Publishing is unconditional and costs one dict update
 under an uncontended lock, so the tracker is always on; the HTTP
-server is the opt-in part (``COLT_TELEMETRY_PORT`` /
-``--telemetry-port``).
+server is the opt-in part (``--telemetry-port``).
 
 The tracker never feeds back into simulation: it is written by the
 simulator and only ever *read* by the server, which keeps telemetry on

@@ -1,8 +1,8 @@
 """HTTP telemetry endpoint: ``/metrics``, ``/progress``, ``/healthz``.
 
-Opt-in live observability for long runs (``COLT_TELEMETRY_PORT`` or
-``--telemetry-port``): a stdlib :class:`http.server.ThreadingHTTPServer`
-on a daemon thread serves
+Opt-in live observability for long runs (``--telemetry-port``): a
+stdlib :class:`http.server.ThreadingHTTPServer` on a daemon thread
+serves
 
 * ``/metrics`` -- the process-local :class:`~repro.obs.registry.MetricsRegistry`
   rendered in Prometheus text exposition format (counters, gauges and
@@ -23,7 +23,6 @@ an unserved one -- CI asserts exactly that.
 from __future__ import annotations
 
 import json
-import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Mapping, Optional, Tuple
@@ -33,32 +32,7 @@ from repro.obs.live import ProgressTracker, get_progress
 from repro.obs.logging import get_logger
 from repro.obs.registry import MetricsRegistry, MetricsSnapshot, get_registry
 
-#: Environment knob: serve telemetry on this TCP port (0 = ephemeral).
-TELEMETRY_PORT_ENV = "COLT_TELEMETRY_PORT"
-
 _LOG = get_logger(__name__)
-
-
-def telemetry_port_from_env(
-    environ: Optional[Mapping[str, str]] = None,
-) -> Optional[int]:
-    """Parse ``COLT_TELEMETRY_PORT``; ``None`` when unset/empty."""
-    raw = (environ if environ is not None else os.environ).get(
-        TELEMETRY_PORT_ENV, ""
-    ).strip()
-    if not raw:
-        return None
-    try:
-        port = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"{TELEMETRY_PORT_ENV} must be an integer port, got {raw!r}"
-        )
-    if not 0 <= port <= 65535:
-        raise ConfigurationError(
-            f"{TELEMETRY_PORT_ENV} must be in [0, 65535], got {port}"
-        )
-    return port
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@ via ``repro.obs.export``, so a run can be opened directly in
 ``ui.perfetto.dev`` or ``chrome://tracing``.
 
 Gating follows the ``COLT_SANITIZE`` pattern: tracing is off unless the
-``COLT_TRACE`` environment variable is truthy (the ``--trace`` CLI flag
-sets it, and ``ProcessPoolExecutor`` workers inherit it). When off,
-:func:`current_tracer` returns ``None`` and every hook site reduces to
-one ``is not None`` check -- the simulation hot paths carry no other
-cost. Tracing only *observes*: a traced run produces bit-identical
-``SimulationResult``s to an untraced one (enforced by
-``tests/test_obs.py`` and the CI traced-determinism smoke).
+``COLT_TRACE`` environment variable is truthy (the ``--trace`` and
+``--report`` CLI flags set it, and ``ProcessPoolExecutor`` workers
+inherit it). When off, :func:`current_tracer` returns ``None`` and
+every hook site reduces to one ``is not None`` check -- the simulation
+hot paths carry no other cost. Tracing only *observes*: a traced run
+produces bit-identical ``SimulationResult``s to an untraced one
+(enforced by ``tests/test_obs.py::TestTracedDeterminism``).
 
 Wall-clock reads live in this module only, on the determinism lint's
 allow-list: trace timestamps describe the run, they never feed
@@ -24,9 +24,11 @@ simulation results.
 Environment knobs:
 
 * ``COLT_TRACE`` -- enable tracing (``1/true/yes/on``).
-* ``COLT_TRACE_BUFFER`` -- ring capacity in events (default 262144).
-* ``COLT_TRACE_SAMPLE`` -- keep every Nth per-access TLB event
-  (default 64; spans are never sampled).
+* ``COLT_PROFILE`` -- collect metrics without event tracing.
+
+The ring holds 262144 events and keeps every 64th per-access TLB event
+(spans are never sampled); pass ``capacity`` / ``sample_every`` to
+:class:`Tracer` or :func:`enable_tracing` to change either.
 """
 
 from __future__ import annotations
@@ -41,14 +43,8 @@ from typing import Dict, Iterator, List, Optional
 #: Environment variable that switches the tracer on.
 TRACE_ENV = "COLT_TRACE"
 
-#: Environment variable sizing the event ring buffer.
-TRACE_BUFFER_ENV = "COLT_TRACE_BUFFER"
-
-#: Environment variable setting the per-access event sampling period.
-TRACE_SAMPLE_ENV = "COLT_TRACE_SAMPLE"
-
 #: Environment variable that enables metrics collection without tracing
-#: (the ``--profile`` / ``--report`` CLI flags set it).
+#: (the ``--profile`` / ``--telemetry-port`` CLI flags set it).
 PROFILE_ENV = "COLT_PROFILE"
 
 _DEFAULT_BUFFER = 262_144
@@ -76,16 +72,6 @@ def obs_active() -> bool:
     return current_tracer() is not None or profiling_requested()
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return default
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return default
-
-
 @dataclass
 class TraceEvent:
     """One trace-event record (Chrome trace-event "X", "i" or "C").
@@ -111,13 +97,9 @@ class Tracer:
 
     def __init__(
         self,
-        capacity: Optional[int] = None,
-        sample_every: Optional[int] = None,
+        capacity: int = _DEFAULT_BUFFER,
+        sample_every: int = _DEFAULT_SAMPLE,
     ) -> None:
-        if capacity is None:
-            capacity = _env_int(TRACE_BUFFER_ENV, _DEFAULT_BUFFER)
-        if sample_every is None:
-            sample_every = _env_int(TRACE_SAMPLE_ENV, _DEFAULT_SAMPLE)
         self.capacity = max(1, capacity)
         #: Per-access TLB events keep 1 in ``sample_every``.
         self.sample_every = max(1, sample_every)
@@ -226,7 +208,7 @@ def current_tracer() -> Optional[Tracer]:
 
 
 def enable_tracing(
-    capacity: Optional[int] = None, sample_every: Optional[int] = None
+    capacity: int = _DEFAULT_BUFFER, sample_every: int = _DEFAULT_SAMPLE
 ) -> Tracer:
     """Explicitly switch tracing on for this process."""
     global _TRACER, _RESOLVED

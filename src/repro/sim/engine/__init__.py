@@ -4,8 +4,8 @@
 Python-interpreted ``MMU.access`` per simulated access. The vectorized
 engine (``repro.sim.engine.vector``) replays the same captured scenario
 as an epoch-batched array program: the access log is partitioned into
-epochs bounded by shootdown events (the loop-carried statements in
-``results/analysis/vectorization_replay.md``), each epoch's TLB hits are
+epochs bounded by shootdown events (the loop-carried state of the
+scalar loop), each epoch's TLB hits are
 resolved by one NumPy coverage scan over a structure-of-arrays export of
 the TLB state, and only the misses (and epoch boundaries) fall back to a
 lean scalar step. The two engines produce bit-identical

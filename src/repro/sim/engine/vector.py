@@ -2,8 +2,8 @@
 
 ``replay_scenario`` interprets one ``MMU.access`` per simulated access.
 This engine replays the same captured scenario in *epochs*: stretches of
-the access log bounded by shootdown events (the loop-carried statements
-named in ``results/analysis/vectorization_replay.md``), chunked at
+the access log bounded by shootdown events (the scalar loop's
+loop-carried state), chunked at
 :data:`EPOCH_MAX` accesses. For each epoch window it
 
 1. exports the L1 SA TLB and the FA/superpage TLB as sorted coverage

@@ -20,7 +20,7 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   cancelled, an executor that abandoned one kills its pool's workers
   on close instead of joining them. Pooled tasks additionally arm a
   worker-side :mod:`faulthandler` dump at the same deadline, so a
-  blown ``COLT_TASK_TIMEOUT`` leaves ``task-<pid>.txt`` under the
+  blown ``--task-timeout`` leaves ``task-<pid>.txt`` under the
   dump dir showing *where* the worker was stuck, not just that it
   was.
 * **Shutdown and stall hooks** -- an installed
@@ -80,7 +80,7 @@ from repro.common.errors import (
 from repro.common.statistics import CounterSet
 from repro.obs.logging import get_logger
 from repro.obs.trace import span
-from repro.sim.watchdog import Watchdog, resolve_dump_dir
+from repro.sim.watchdog import DEFAULT_DUMP_DIR, Watchdog
 
 _LOG = get_logger(__name__)
 
@@ -137,11 +137,6 @@ RESILIENCE_COUNTERS = (
     "failures",
 )
 
-#: Environment knobs for the default policy.
-RETRIES_ENV = "COLT_RETRIES"
-TIMEOUT_ENV = "COLT_TASK_TIMEOUT"
-BACKOFF_ENV = "COLT_BACKOFF"
-
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -166,24 +161,6 @@ class RetryPolicy:
     def backoff(self, attempt: int) -> float:
         """Sleep before retrying a task that failed ``attempt``."""
         return self.backoff_s * self.backoff_factor**attempt
-
-    @classmethod
-    def from_env(cls) -> "RetryPolicy":
-        """Policy from ``COLT_RETRIES``/``COLT_TASK_TIMEOUT``/``COLT_BACKOFF``."""
-        policy = cls()
-        retries = os.environ.get(RETRIES_ENV, "").strip()
-        if retries:
-            policy = replace(policy, max_retries=max(0, int(retries)))
-        timeout = os.environ.get(TIMEOUT_ENV, "").strip()
-        if timeout:
-            seconds = float(timeout)
-            policy = replace(
-                policy, timeout_s=seconds if seconds > 0 else None
-            )
-        backoff = os.environ.get(BACKOFF_ENV, "").strip()
-        if backoff:
-            policy = replace(policy, backoff_s=max(0.0, float(backoff)))
-        return policy
 
 
 @dataclass(frozen=True)
@@ -235,7 +212,7 @@ class ResilientExecutor:
         self._initializer = initializer
         self._shutdown = shutdown
         self._watchdog = watchdog
-        self._dump_dir = str(resolve_dump_dir(dump_dir))
+        self._dump_dir = str(dump_dir or DEFAULT_DUMP_DIR)
         self._pool: Optional[ProcessPoolExecutor] = None
         # An attempt was given up on while still running (deadline,
         # stall): the pool is then killed at shutdown, never joined.

@@ -72,6 +72,7 @@ from repro.sim.watchdog import (
     DEGRADE_NO_PREFETCH,
     DEGRADE_SHRINK_POOL,
     Watchdog,
+    dump_dir_for,
 )
 
 #: The design set of Figures 18 and 21.
@@ -165,10 +166,9 @@ class ExperimentRunner:
         store: optional on-disk result store consulted before, and
             updated after, every simulation.
         policy: retry/backoff/deadline policy for the resilient
-            executor; defaults to :meth:`RetryPolicy.from_env`
-            (``COLT_RETRIES`` / ``COLT_TASK_TIMEOUT`` / ``COLT_BACKOFF``).
-        faults: deterministic fault-injection plan; defaults to the
-            plan named by ``COLT_FAULTS`` (``None`` when unset).
+            executor; ``None`` means ``RetryPolicy()``.
+        faults: deterministic fault-injection plan; ``None`` injects
+            nothing.
         shutdown: optional :class:`repro.sim.campaign.ShutdownCoordinator`
             polled between (and during) waves; a requested shutdown
             raises :class:`~repro.common.errors.ShutdownRequested` with
@@ -180,6 +180,9 @@ class ExperimentRunner:
             groups run one at a time, captured logs released between
             them), rung 3 aborts with
             :class:`~repro.common.errors.MemoryBudgetError`.
+
+    Per-task deadline stack dumps land in ``<store root>/dumps``
+    (:func:`repro.sim.watchdog.dump_dir_for`).
     """
 
     def __init__(
@@ -193,8 +196,8 @@ class ExperimentRunner:
     ) -> None:
         self._jobs = max(1, int(jobs)) if jobs else 1
         self._store = store
-        self._policy = policy if policy is not None else RetryPolicy.from_env()
-        self._faults = faults if faults is not None else FaultPlan.from_env()
+        self._policy = policy if policy is not None else RetryPolicy()
+        self._faults = faults
         self._shutdown = shutdown
         self._watchdog = watchdog
         self._resilience = CounterSet(RESILIENCE_COUNTERS)
@@ -403,6 +406,7 @@ class ExperimentRunner:
             initializer=reset_worker_obs,
             shutdown=self._shutdown,
             watchdog=self._watchdog,
+            dump_dir=dump_dir_for(self._store),
         ) as executor:
             failure: Optional[TaskExecutionError] = None
             get_progress().update_section(

@@ -341,36 +341,37 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
     capture is reusable across every TLB design of the same scenario.
     """
     config = scenario_config(config)
-    engine = ScenarioEngine(config)
-    engine.prepare()
-    recorder = _CaptureRecorder(engine, len(engine.trace.vpns))
+    # One span over the whole capture: boot, aging, layout, trace
+    # generation, the run loop and dedup all nest inside it.
     with span(
         "capture",
         benchmark=config.benchmark,
         accesses=config.accesses,
         seed=config.seed,
     ):
+        engine = ScenarioEngine(config)
+        engine.prepare()
+        recorder = _CaptureRecorder(engine, len(engine.trace.vpns))
         engine.run_loop(recorder.on_access)
         engine.sanity_check()
-
-    with span("capture.dedup", rows=len(recorder.records)):
-        records, record_index = np.unique(
-            recorder.records, axis=0, return_inverse=True
+        with span("capture.dedup", rows=len(recorder.records)):
+            records, record_index = np.unique(
+                recorder.records, axis=0, return_inverse=True
+            )
+        if recorder.events:
+            event_array = np.asarray(recorder.events, dtype=np.int64)
+        else:
+            event_array = np.zeros((0, 3), dtype=np.int64)
+        return CapturedScenario(
+            config=config,
+            profile=engine.profile,
+            vpns=np.asarray(engine.trace.vpns, dtype=np.int64).copy(),
+            records=records,
+            record_index=np.asarray(record_index, dtype=np.int64).ravel(),
+            inval_before=event_array[:, 0].copy(),
+            inval_start=event_array[:, 1].copy(),
+            inval_count=event_array[:, 2].copy(),
+            kernel_counters=engine.kernel.counters.snapshot(),
+            contiguity=ContiguityReport.from_process(engine.process),
+            trace_unique_pages=engine.trace.unique_pages,
         )
-    if recorder.events:
-        event_array = np.asarray(recorder.events, dtype=np.int64)
-    else:
-        event_array = np.zeros((0, 3), dtype=np.int64)
-    return CapturedScenario(
-        config=config,
-        profile=engine.profile,
-        vpns=np.asarray(engine.trace.vpns, dtype=np.int64).copy(),
-        records=records,
-        record_index=np.asarray(record_index, dtype=np.int64).ravel(),
-        inval_before=event_array[:, 0].copy(),
-        inval_start=event_array[:, 1].copy(),
-        inval_count=event_array[:, 2].copy(),
-        kernel_counters=engine.kernel.counters.snapshot(),
-        contiguity=ContiguityReport.from_process(engine.process),
-        trace_unique_pages=engine.trace.unique_pages,
-    )

@@ -199,7 +199,7 @@ class ResultStore:
             degrades the store to a warned no-op instead of raising).
         faults: optional :class:`FaultPlan` whose ``store.write`` specs
             corrupt entries as they are written (chaos testing);
-            defaults to the plan named by ``COLT_FAULTS``.
+            ``None`` corrupts nothing.
     """
 
     def __init__(self, root, faults: Optional[FaultPlan] = None) -> None:
@@ -208,7 +208,7 @@ class ResultStore:
             ["hits", "misses", "evictions", "saves", "quarantines",
              "save_errors", "io_errors"]
         )
-        self._faults = faults if faults is not None else FaultPlan.from_env()
+        self._faults = faults
         self._write_index = 0
         self._disabled = False
         try:
@@ -230,7 +230,8 @@ class ResultStore:
         return self._disabled
 
     @classmethod
-    def from_env(cls, default: Optional[str] = DEFAULT_STORE_DIR
+    def from_env(cls, default: Optional[str] = DEFAULT_STORE_DIR,
+                 faults: Optional[FaultPlan] = None,
                  ) -> Optional["ResultStore"]:
         """Store at ``$COLT_RESULT_CACHE``, else ``default``.
 
@@ -243,11 +244,11 @@ class ResultStore:
         if location is not None:
             if location.strip() in ("", "0", "off", "none"):
                 return None
-            store = cls(location)
+            store = cls(location, faults=faults)
         elif default is None:
             return None
         else:
-            store = cls(default)
+            store = cls(default, faults=faults)
         return None if store.disabled else store
 
     def _path(self, config: SimulationConfig) -> Path:

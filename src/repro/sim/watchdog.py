@@ -15,14 +15,14 @@ both. The executor reports liveness through :meth:`heartbeat` (one
 beat per completed task) and brackets its batches with
 :meth:`begin_work`/:meth:`end_work`; the watchdog polls and
 
-1. on **stall** -- no heartbeat for ``COLT_STALL_TIMEOUT`` seconds
+1. on **stall** -- no heartbeat for ``stall_timeout_s`` seconds
    while work is outstanding -- dumps *all-thread* stacks via
    :mod:`faulthandler` into ``<dump_dir>/stall-<pid>.txt`` for the
    post-mortem, then raises a stall flag the executor consumes to
    cancel and requeue the stuck task through the ordinary retry
    machinery;
 2. on **memory breach** -- RSS (self plus child workers) above
-   ``COLT_MEM_BUDGET`` MiB -- climbs a degradation ladder one rung per
+   ``mem_budget_bytes`` -- climbs a degradation ladder one rung per
    breach-poll: first *shrink the pool* (the runner halves its worker
    count), then *disable prefetch* (the runner replays scenario groups
    one at a time and drops captured logs between them), and only after
@@ -34,13 +34,9 @@ All wall-clock reads live here and only pace *monitoring*; nothing in
 this module feeds a ``SimulationResult`` (the file is on the lint's
 wall-clock allow-list for exactly this scope).
 
-Environment knobs:
-
-* ``COLT_STALL_TIMEOUT`` -- seconds without task completion before a
-  stall fires (unset/0 disables stall detection).
-* ``COLT_MEM_BUDGET`` -- RSS budget in MiB (unset/0 disables).
-* ``COLT_DUMP_DIR`` -- stack-dump directory (default
-  ``.colt-cache/dumps``).
+The CLI arms it with ``--stall-timeout`` / ``--mem-budget`` (see
+:func:`repro.experiments.__main__.build_watchdog`); stack dumps land
+in ``<store root>/dumps`` (:func:`dump_dir_for`).
 """
 
 from __future__ import annotations
@@ -60,12 +56,7 @@ from repro.obs.trace import current_tracer, obs_active
 
 _LOG = get_logger(__name__)
 
-#: Environment knobs.
-STALL_TIMEOUT_ENV = "COLT_STALL_TIMEOUT"
-MEM_BUDGET_ENV = "COLT_MEM_BUDGET"
-DUMP_DIR_ENV = "COLT_DUMP_DIR"
-
-#: Default stack-dump directory (beside the result store).
+#: Default stack-dump directory (beside the default result store).
 DEFAULT_DUMP_DIR = os.path.join(".colt-cache", "dumps")
 
 #: Degradation ladder rungs (compared with ``>=``).
@@ -85,11 +76,14 @@ WATCHDOG_COUNTERS = (
 )
 
 
-def resolve_dump_dir(override: Optional[str] = None) -> Path:
-    """The stack-dump directory: override > ``COLT_DUMP_DIR`` > default."""
-    if override:
-        return Path(override)
-    return Path(os.environ.get(DUMP_DIR_ENV, "").strip() or DEFAULT_DUMP_DIR)
+def dump_dir_for(store=None) -> Path:
+    """Stack dumps go beside the result store: ``<store.root>/dumps``.
+
+    Without a store they go to :data:`DEFAULT_DUMP_DIR`.
+    """
+    if store is None:
+        return Path(DEFAULT_DUMP_DIR)
+    return Path(store.root) / "dumps"
 
 
 def read_rss_bytes(pid: Optional[int] = None) -> Optional[int]:
@@ -141,7 +135,8 @@ class Watchdog:
         stall_timeout_s: seconds without a heartbeat (while work is
             outstanding) before a stall fires; ``None``/0 disables.
         mem_budget_bytes: RSS ceiling; ``None``/0 disables.
-        dump_dir: where stall stack dumps land.
+        dump_dir: where stall stack dumps land (default
+            :data:`DEFAULT_DUMP_DIR`).
         poll_interval_s: monitor wake period (default: min(1s,
             stall_timeout/4)).
         rss_fn: RSS probe, injectable for tests; defaults to
@@ -164,7 +159,7 @@ class Watchdog:
         self.mem_budget_bytes = (
             int(mem_budget_bytes) if mem_budget_bytes else None
         )
-        self.dump_dir = resolve_dump_dir(dump_dir)
+        self.dump_dir = Path(dump_dir or DEFAULT_DUMP_DIR)
         if poll_interval_s is None:
             poll_interval_s = 1.0
             if self.stall_timeout_s is not None:
@@ -205,36 +200,6 @@ class Watchdog:
         self._abort = False
         self.last_dump_path: Optional[Path] = None
         self.last_rss_bytes: Optional[int] = None
-
-    @classmethod
-    def from_env(
-        cls,
-        stall_timeout_s: Optional[float] = None,
-        mem_budget_mib: Optional[float] = None,
-        dump_dir=None,
-    ) -> Optional["Watchdog"]:
-        """Watchdog from env knobs (CLI overrides win); None when idle.
-
-        A watchdog with neither a stall timeout nor a memory budget
-        would only burn a thread, so ``None`` is returned instead.
-        """
-        if stall_timeout_s is None:
-            raw = os.environ.get(STALL_TIMEOUT_ENV, "").strip()
-            if raw:
-                stall_timeout_s = float(raw)
-        if mem_budget_mib is None:
-            raw = os.environ.get(MEM_BUDGET_ENV, "").strip()
-            if raw:
-                mem_budget_mib = float(raw)
-        if not stall_timeout_s and not mem_budget_mib:
-            return None
-        return cls(
-            stall_timeout_s=stall_timeout_s or None,
-            mem_budget_bytes=(
-                int(mem_budget_mib * 1024 * 1024) if mem_budget_mib else None
-            ),
-            dump_dir=dump_dir,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle.

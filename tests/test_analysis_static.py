@@ -11,8 +11,6 @@ and the generated docs are fresh.
 import json
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.static import registries
 from repro.analysis.static.baseline import Baseline, BaselineEntry
 from repro.analysis.static.cli import main
@@ -33,7 +31,6 @@ from repro.analysis.static.sarif import (
     to_json,
     to_sarif,
 )
-from repro.analysis.static.vectorization import analyze_project, render_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -45,13 +42,6 @@ def project_of(*sources):
 
 def rules_of(findings):
     return [f.rule for f in findings]
-
-
-@pytest.fixture(scope="module")
-def repo_project():
-    return ProjectModel.from_paths(
-        [REPO_ROOT / "src", REPO_ROOT / "tools"]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -571,52 +561,6 @@ class TestBaseline:
 
 
 # ---------------------------------------------------------------------------
-# Vectorization-readiness report
-# ---------------------------------------------------------------------------
-
-class TestVectorization:
-    def test_replay_targets_found_and_blockers_named(self, repo_project):
-        report = render_report(analyze_project(repo_project))
-        assert "repro/sim/replay.py::replay_scenario" in report
-        assert "repro/sim/replay.py::ReplayWalker.walk" in report
-        assert "repro/core/mmu.py::MMU.access" in report
-        assert "Target not found" not in report
-        # The real blockers of the per-access loop are called out.
-        assert "mmu.access" in report
-        assert "walker.cursor" in report
-        assert "Blocking statements" in report
-
-    def test_classification_on_synthetic_loop(self):
-        source = (
-            "def run(items, sink):\n"
-            "    total = 0\n"
-            "    for i in items:\n"
-            "        v = int(i)\n"
-            "        if v < 0:\n"
-            "            raise ValueError(v)\n"
-            "        total = total + v\n"
-            "        sink.push(v)\n"
-            "        sink.cursor = v\n"
-        )
-        import ast as ast_mod
-
-        from repro.analysis.static.vectorization import classify_body
-
-        project = project_of(("src/repro/sim/loop.py", source))
-        module = project.modules[0]
-        fn = module.tree.body[0]
-        loop = fn.body[1]
-        reports = classify_body(module, loop.body, {"i"})
-        classes = {r.code: r.classification for r in reports}
-        assert classes["v = int(i)"] == "vectorizable"
-        assert classes["if v < 0:"] == "guard"
-        assert classes["total = total + v"] == "loop-carried"
-        assert classes["sink.push(v)"] == "side-effecting"
-        assert classes["sink.cursor = v"] == "side-effecting"
-        assert isinstance(loop, ast_mod.For)
-
-
-# ---------------------------------------------------------------------------
 # Repo-level guarantees
 # ---------------------------------------------------------------------------
 
@@ -635,5 +579,5 @@ class TestRepoIsClean:
             assert entry.justification, entry.fingerprint
             assert not entry.justification.startswith("TODO"), entry.path
 
-    def test_generated_docs_are_fresh(self, repo_project):
-        assert check_docs(REPO_ROOT, repo_project) == []
+    def test_generated_docs_are_fresh(self):
+        assert check_docs(REPO_ROOT) == []

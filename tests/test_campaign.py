@@ -31,6 +31,7 @@ from repro.common.errors import (
     ShutdownRequested,
     StallError,
 )
+from repro.experiments.__main__ import _build_parser, build_watchdog
 from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
 from repro.obs.registry import set_registry
 from repro.sim.campaign import (
@@ -243,15 +244,17 @@ class TestShutdownCoordinator:
 
 
 class TestWatchdog:
-    def test_from_env_none_when_unconfigured(self, monkeypatch):
-        monkeypatch.delenv("COLT_STALL_TIMEOUT", raising=False)
-        monkeypatch.delenv("COLT_MEM_BUDGET", raising=False)
-        assert Watchdog.from_env() is None
-        monkeypatch.setenv("COLT_STALL_TIMEOUT", "30")
-        dog = Watchdog.from_env()
+    def test_from_env_none_when_unconfigured(self, tmp_path):
+        """The CLI builds a watchdog only for a non-zero flag."""
+        def build(*flags):
+            args = _build_parser().parse_args(["fig18", *flags])
+            return build_watchdog(args, tmp_path)
+
+        assert build() is None
+        dog = build("--stall-timeout", "30")
         assert dog is not None and dog.stall_timeout_s == 30.0
-        monkeypatch.setenv("COLT_STALL_TIMEOUT", "0")
-        assert Watchdog.from_env() is None
+        assert dog.dump_dir == tmp_path
+        assert build("--stall-timeout", "0") is None
 
     def test_stall_dumps_stacks_and_fires_once(self, tmp_path, obs_off):
         dog = Watchdog(

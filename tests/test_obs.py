@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.experiments.__main__ as cli
 from repro.analysis.determinism import result_digest
 from repro.common.errors import ConfigurationError
 from repro.common.statistics import CounterSet
@@ -41,6 +42,7 @@ from repro.sim.scenario import capture_scenario, scenario_config
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulationConfig, simulate
 from repro.core.mmu import CoLTDesign
+from repro.experiments.scale import QUICK
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
 
@@ -435,6 +437,40 @@ class TestRunReport:
         assert report.instrument_count >= 15
         assert "phase wall-time" in rendered
         assert "coalescing run lengths" in rendered
+
+    def test_capture_span_encloses_its_phases(self, obs_on):
+        capture_scenario(_small_config())
+        events = current_tracer().events()
+        (capture,) = [e for e in events if e.name == "capture"]
+        start, end = capture.ts_us, capture.ts_us + capture.dur_us
+        inner = [
+            e for e in events
+            if e.name in ("kernel.boot", "aging", "layout",
+                          "trace.generate", "capture.dedup")
+        ]
+        assert {e.name for e in inner} >= {
+            "kernel.boot", "layout", "trace.generate", "capture.dedup"
+        }
+        for event in inner:
+            assert start <= event.ts_us
+            assert event.ts_us + event.dur_us <= end, event.name
+
+    def test_cli_report_alone_prints_phase_table(
+        self, obs_off, monkeypatch, capsys
+    ):
+        """``--report`` without ``--trace`` still records the spans."""
+        # QUICK scenarios, one benchmark: keeps the CLI run short.
+        monkeypatch.setattr(
+            cli, "scale_from_env",
+            lambda: QUICK.with_updates(benchmarks=("mcf",)),
+        )
+        argv = ["fig21", "--no-cache", "--report", "--jobs", "1"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        assert "phase wall-time" in out
+        assert any(
+            line.split()[:1] == ["capture"] for line in out.splitlines()
+        ), out
 
     def test_report_empty_inputs(self):
         report = RunReport.build([], None)

@@ -29,8 +29,6 @@ from repro.sim.faults import (
     corrupt_bytes,
 )
 from repro.sim.resilience import (
-    RETRIES_ENV,
-    TIMEOUT_ENV,
     ResilientExecutor,
     RetryPolicy,
     TaskSpec,
@@ -45,7 +43,7 @@ from repro.sim.store import (
     unframe_payload,
 )
 from repro.sim.system import SimulationConfig, simulate
-from repro.sim.watchdog import DUMP_DIR_ENV
+from repro.sim.watchdog import dump_dir_for
 
 
 @pytest.fixture
@@ -215,15 +213,6 @@ class TestRetryPolicy:
         policy = RetryPolicy(backoff_s=0.1, backoff_factor=2.0)
         assert policy.backoff(0) == pytest.approx(0.1)
         assert policy.backoff(2) == pytest.approx(0.4)
-
-    def test_from_env(self, monkeypatch):
-        monkeypatch.setenv(RETRIES_ENV, "5")
-        monkeypatch.setenv(TIMEOUT_ENV, "12.5")
-        policy = RetryPolicy.from_env()
-        assert policy.max_retries == 5
-        assert policy.timeout_s == pytest.approx(12.5)
-        monkeypatch.setenv(TIMEOUT_ENV, "0")
-        assert RetryPolicy.from_env().timeout_s is None
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +416,23 @@ class TestResilientExecutor:
         assert counts["retries"] >= 1
 
 
+class TestNoAmbientFaults:
+    """Only ``main()`` reads ``COLT_FAULTS``; the library never does."""
+
+    def test_runner_ignores_ambient_fault_plan(self, obs_off, monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV, "raise@capture:0")
+        runner = ExperimentRunner(jobs=1)
+        runner.run(CHAOS_CONFIG.with_updates(accesses=600))
+        assert runner.resilience_summary() is None
+
+    def test_store_ignores_ambient_fault_plan(self, tmp_path, sim_pair,
+                                              monkeypatch):
+        monkeypatch.setenv(FAULTS_ENV, "corrupt@store.write:0")
+        config, result = sim_pair
+        ResultStore(tmp_path).save(config, result)
+        assert ResultStore(tmp_path).load(config) == result
+
+
 # ---------------------------------------------------------------------------
 # Chaos matrix: faulted runs == fault-free baseline, bit for bit.
 # ---------------------------------------------------------------------------
@@ -441,8 +447,9 @@ class TestChaosMatrix:
     ])
     def test_faulted_run_matches_baseline(self, obs_off, baseline,
                                           plan_text, tmp_path, monkeypatch):
-        # Deadline stack dumps go to tmp_path, not the checkout.
-        monkeypatch.setenv(DUMP_DIR_ENV, str(tmp_path))
+        # A store-less runner dumps under ./.colt-cache/dumps: run in
+        # tmp_path so deadline dumps stay out of the checkout.
+        monkeypatch.chdir(tmp_path)
         deadline = "delay" in plan_text
         policy = RetryPolicy(
             max_retries=3, backoff_s=0.01,
@@ -458,7 +465,7 @@ class TestChaosMatrix:
         if deadline:
             # The abandoned worker dumped its stacks at the deadline,
             # before the executor killed it on close.
-            dumps = list(tmp_path.glob("task-*.txt"))
+            dumps = list((tmp_path / dump_dir_for()).glob("task-*.txt"))
             assert dumps and all(d.stat().st_size for d in dumps)
 
     def test_double_crash_rebuilds_then_downgrades(self, obs_off, baseline):

@@ -15,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.experiments.__main__ import main
 from repro.experiments.registry import get_experiment
 from repro.experiments.scale import ExperimentScale
 from repro.obs.live import ProgressTracker, get_progress, reset_progress
@@ -23,11 +24,7 @@ from repro.obs.registry import (
     MetricsSnapshot,
     set_registry,
 )
-from repro.obs.serve import (
-    TelemetryServer,
-    prometheus_text,
-    telemetry_port_from_env,
-)
+from repro.obs.serve import TelemetryServer, prometheus_text
 from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
 from repro.sim.campaign import CampaignManifest, CampaignRunner
 from repro.sim.runner import ExperimentRunner
@@ -325,17 +322,13 @@ class TestTelemetryServer:
         with pytest.raises(urllib.error.URLError):
             _get(port, "/healthz")
 
-    def test_port_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("COLT_TELEMETRY_PORT", raising=False)
-        assert telemetry_port_from_env() is None
-        monkeypatch.setenv("COLT_TELEMETRY_PORT", "9177")
-        assert telemetry_port_from_env() == 9177
-        monkeypatch.setenv("COLT_TELEMETRY_PORT", "nope")
-        with pytest.raises(ConfigurationError):
-            telemetry_port_from_env()
-        monkeypatch.setenv("COLT_TELEMETRY_PORT", "70000")
-        with pytest.raises(ConfigurationError):
-            telemetry_port_from_env()
+    def test_port_env_parsing(self, capsys):
+        """``--telemetry-port`` rejects a non-integer or out-of-range port."""
+        for bad in ("nope", "70000"):
+            with pytest.raises(SystemExit) as exc_info:
+                main(["fig18", "--telemetry-port", bad])
+            assert exc_info.value.code == 2
+            assert "--telemetry-port" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,6 @@ def _campaign_env(faults: str = "") -> dict:
         env["COLT_FAULTS"] = faults
     else:
         env.pop("COLT_FAULTS", None)
-    # The phases below pass watchdog/telemetry knobs explicitly;
-    # ambient settings must not leak in.
-    for var in ("COLT_STALL_TIMEOUT", "COLT_MEM_BUDGET", "COLT_DUMP_DIR",
-                "COLT_TELEMETRY_PORT", "COLT_HISTORY"):
-        env.pop(var, None)
     return env
 
 
@@ -172,7 +167,7 @@ def _checked_run(label: str, cache_dir: str, jobs: int, faults: str = "",
     """Run one campaign subprocess; None (after a FAIL line) on rc != 0.
 
     The shared run half of every mode's run-and-compare step: build the
-    command, scrub the environment, capture output, complain uniformly.
+    command, set the environment, capture output, complain uniformly.
     """
     result = subprocess.run(
         _campaign_cmd(cache_dir, jobs, ids=ids, extra=extra),
@@ -367,7 +362,7 @@ def _campaign_check(args) -> int:
         clean_dir = os.path.join(tmp, "clean")
         kill_dir = os.path.join(tmp, "killed")
         stall_dir = os.path.join(tmp, "stall")
-        dump_dir = os.path.join(tmp, "dumps")
+        dump_dir = os.path.join(stall_dir, "dumps")
 
         print(f"clean campaign {' '.join(CAMPAIGN_IDS)} (jobs={args.jobs})")
         if _checked_run("clean campaign", clean_dir, args.jobs) is None:
@@ -407,10 +402,7 @@ def _campaign_check(args) -> int:
             "stalled campaign", stall_dir, args.jobs,
             faults=f"delay@capture:0/{STALL_DELAY_SECONDS:g}",
             ids=(CAMPAIGN_IDS[0],),
-            extra=(
-                "--stall-timeout", f"{STALL_TIMEOUT_SECONDS:g}",
-                "--dump-dir", dump_dir,
-            ),
+            extra=("--stall-timeout", f"{STALL_TIMEOUT_SECONDS:g}"),
         )
         if stalled is None:
             failures += 1

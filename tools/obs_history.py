@@ -23,21 +23,16 @@ The gate takes the *newest* record matching the baseline's ``match``
 coordinates (figure/scale/engine) and fails (exit 1) when any
 bit-identity counter in ``exact_counters`` drifts from the committed
 value, when a ``ceilings`` metric (wall time) exceeds its bound, or
-when a ``floors`` metric (vector speedup) undercuts its bound.
-
-``--ingest-bench BENCH.json`` folds a ``bench_runner.py`` artifact's
-aggregate vector speedup into the newest history record, so perf
-trajectory accumulates in one inspectable file.
+when a ``floors`` metric (e.g. ``store.hit_ratio``) undercuts its
+bound.
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.common.atomicio import atomic_write_text  # noqa: E402
 from repro.common.errors import ConfigurationError  # noqa: E402
 from repro.obs.history import (  # noqa: E402
     diff_records,
@@ -78,11 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--baseline", type=Path, default=None, metavar="FILE",
         help="colt-history-baseline-v1 document (required with --gate)",
-    )
-    parser.add_argument(
-        "--ingest-bench", type=Path, default=None, metavar="BENCH.json",
-        help="attach a bench_runner.py artifact's aggregate speedup to "
-             "the newest record as vector_speedup",
     )
     return parser
 
@@ -172,33 +162,6 @@ def _gate(records, baseline_path: Path) -> int:
     return 0
 
 
-def _ingest_bench(history_file: Path, records, bench_path: Path) -> int:
-    """Set vector_speedup on the newest record from a bench artifact."""
-    if not records:
-        print("obs_history: no history records to annotate", file=sys.stderr)
-        return 2
-    try:
-        bench = json.loads(bench_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"obs_history: unreadable bench file: {exc}", file=sys.stderr)
-        return 2
-    speedup = bench.get("aggregate_speedup") or bench.get("speedup")
-    if speedup is None:
-        print(
-            f"obs_history: {bench_path} has no aggregate_speedup/speedup "
-            "field", file=sys.stderr,
-        )
-        return 2
-    records[-1]["vector_speedup"] = float(speedup)
-    lines = [json.dumps(record, sort_keys=True) for record in records]
-    atomic_write_text(history_file, "\n".join(lines) + "\n")
-    print(
-        f"attached vector_speedup={float(speedup):.2f} to newest record "
-        f"in {history_file}"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     history_file = _resolve_history(args)
@@ -214,8 +177,6 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    if args.ingest_bench is not None:
-        return _ingest_bench(history_file, records, args.ingest_bench)
     if args.gate:
         if args.baseline is None:
             print("obs_history: --gate needs --baseline FILE",
