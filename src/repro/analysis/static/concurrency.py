@@ -13,7 +13,7 @@ Three rules, all driven by the project model's callback coloring:
     A function installed via ``signal.signal`` does more than flag
     setting / signal re-raising. CPython runs handlers between
     bytecodes on the main thread, so anything that allocates, locks, or
-    logs can deadlock or corrupt state mid-campaign.
+    logs can deadlock or corrupt state mid-run.
 
 ``unlocked-shared-state``
     A class that owns a ``threading.Lock`` *and* starts a

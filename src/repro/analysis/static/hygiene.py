@@ -1,4 +1,4 @@
-"""Exception hygiene in the resilience / store / campaign paths.
+"""Exception hygiene in the resilience / store / run-loop paths.
 
 The fault-tolerance modules are exactly where a swallowed exception is
 most expensive: a bare ``except`` that neither re-raises, increments a

@@ -38,9 +38,6 @@ WALL_CLOCK_ALLOW = (
     "tools/calibrate.py",
     "tools/bench_runner.py",
     "tools/obs_report.py",
-    # Drives kill/resume subprocesses: polls for table files and
-    # signal-delivery windows; nothing feeds into results.
-    "tools/chaos_check.py",
     "repro/experiments/__main__.py",
     "repro/obs/trace.py",
     "repro/sim/watchdog.py",

@@ -128,17 +128,6 @@ METRICS: Tuple[MetricDecl, ...] = (
         "executor tasks/retries/timeouts/rebuilds/downgrades/failures",
     ),
     MetricDecl(
-        "colt_campaign", "counterset-prefix", "repro/sim/campaign.py", True,
-        "campaign experiments started/completed/skipped/interrupted",
-    ),
-    MetricDecl(
-        "colt_campaign_demotions", "counter", "repro/sim/campaign.py",
-        False,
-        "in-flight experiments demoted to pending on resume; also in "
-        "the colt_campaign counterset, standalone counter ships in "
-        "metrics.json only",
-    ),
-    MetricDecl(
         "colt_watchdog", "counterset-prefix", "repro/sim/watchdog.py", True,
         "stalls, stack dumps, memory breaches, ladder escalations",
     ),
@@ -208,10 +197,8 @@ SPANS: Tuple[SpanDecl, ...] = (
              "repro/sim/resilience.py", "pool abandoned, serial fallback"),
     SpanDecl("resilience.retry", "span", "repro/sim/resilience.py",
              "one task resubmission"),
-    SpanDecl("campaign.experiment", "span", "repro/sim/campaign.py",
-             "one experiment within a campaign"),
-    SpanDecl("campaign.shutdown", "span", "repro/sim/campaign.py",
-             "signal-initiated campaign shutdown"),
+    SpanDecl("experiment", "span", "repro/experiments/__main__.py",
+             "one experiment of a CLI run, fault site to table"),
     SpanDecl("experiment.", "span-prefix", "repro/experiments/registry.py",
              "per-experiment spans, suffixed by experiment id"),
     SpanDecl("tlb.miss", "instant", "repro/obs/hooks.py",
@@ -236,8 +223,8 @@ FAULT_SITES: Tuple[FaultSiteDecl, ...] = (
                   "worker-side scenario capture task"),
     FaultSiteDecl("replay", "repro/sim/runner.py",
                   "worker-side replay task"),
-    FaultSiteDecl("campaign", "repro/sim/campaign.py",
-                  "between experiments of a campaign"),
+    FaultSiteDecl("experiment", "repro/experiments/__main__.py",
+                  "parent-side, before each experiment of a CLI run"),
     FaultSiteDecl("store.write", "repro/sim/faults.py",
                   "result-store serialization (torn/corrupt writes)"),
 )

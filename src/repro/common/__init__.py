@@ -16,7 +16,6 @@ from repro.common.atomicio import (
 )
 from repro.common.errors import (
     AllocationError,
-    CampaignError,
     ConfigurationError,
     ExperimentError,
     MemoryBudgetError,
@@ -58,7 +57,6 @@ __all__ = [
     "AccessType",
     "AllocationError",
     "CACHE_LINE_SIZE",
-    "CampaignError",
     "ConfigurationError",
     "ContiguityRun",
     "CounterSet",

@@ -27,16 +27,17 @@ store, injects deterministic worker crashes, task exceptions, delays
 and store corruption for chaos testing. When the resilience layer
 absorbed anything, a summary line reports it.
 
-Campaigns (``repro.sim.campaign``): ``--campaign`` runs the requested
-experiments under a crash-safe write-ahead journal
-(``<cache>/campaign/manifest.json``) with per-experiment table dumps;
-``--resume`` continues an interrupted campaign, skipping journaled
-``done`` experiments bit-identically. SIGINT/SIGTERM are handled
-two-stage in both modes: the first signal winds the run down gracefully
-(checkpoint, journal, flush obs artifacts) and exits with status 75;
-a second signal hard-aborts. ``--stall-timeout`` / ``--mem-budget``
-arm the stall/memory watchdog (``repro.sim.watchdog``); its stack
-dumps, like the per-task deadline dumps, land in ``<store root>/dumps``.
+Interrupt and rerun: the result store is the checkpoint. Every
+simulation result lands in it as soon as it completes, so rerunning the
+same command on the same ``--cache-dir`` resumes an interrupted run
+without redoing finished work. SIGINT/SIGTERM are handled two-stage:
+the first signal winds the run down gracefully (pending work cancelled,
+obs artifacts and the history record flushed) and exits with status
+75; a second signal hard-aborts. A task that fails permanently fails
+only its experiment: the run goes on to the next one and exits 1.
+``--stall-timeout`` / ``--mem-budget`` arm the stall/memory watchdog
+(``repro.sim.watchdog``); its stack dumps, like the per-task deadline
+dumps, land in ``<store root>/dumps``.
 
 The elapsed-time stamps printed here are display-only terminal feedback
 (monotonic ``perf_counter``); they are never serialized into experiment
@@ -54,9 +55,9 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.common.errors import (
-    CampaignError,
     MemoryBudgetError,
     ShutdownRequested,
+    TaskExecutionError,
 )
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.history import build_record, append_record, history_path
@@ -65,19 +66,16 @@ from repro.obs.logging import configure_logging
 from repro.obs.registry import get_registry
 from repro.obs.report import RunReport
 from repro.obs.serve import TelemetryServer
-from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
-from repro.sim.campaign import (
-    SHUTDOWN_EXIT_CODE,
-    CampaignManifest,
-    CampaignRunner,
-    ShutdownCoordinator,
-    campaign_fingerprint,
-)
+from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing, span
 from repro.sim.engine import resolve_engine
 from repro.sim.faults import FaultPlan
-from repro.sim.resilience import RetryPolicy
+from repro.sim.resilience import (
+    SHUTDOWN_EXIT_CODE,
+    RetryPolicy,
+    ShutdownCoordinator,
+)
 from repro.sim.runner import ExperimentRunner
-from repro.sim.store import ResultStore
+from repro.sim.store import ResultStore, run_fingerprint
 from repro.sim.watchdog import Watchdog, dump_dir_for
 from repro.experiments.registry import EXPERIMENTS, resolve_experiments
 from repro.experiments.scale import scale_from_env
@@ -135,19 +133,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--task-timeout", type=float, default=None, metavar="SECONDS",
         help="per-task deadline for pooled execution; 0 disables "
              "(default: none)",
-    )
-    parser.add_argument(
-        "--campaign", action="store_true",
-        help="run under the resumable campaign journal "
-             "(<cache>/campaign/manifest.json) with per-experiment "
-             "table dumps; a graceful interruption exits with status "
-             f"{SHUTDOWN_EXIT_CODE} and --resume continues it",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted --campaign run from its journal, "
-             "skipping experiments already journaled as done "
-             "(implies --campaign)",
     )
     parser.add_argument(
         "--stall-timeout", type=float, default=None, metavar="SECONDS",
@@ -274,99 +259,53 @@ def _print_summaries(args, runner: ExperimentRunner) -> None:
         print("resilience: " + ", ".join(parts))
 
 
-def _run_plain(args, experiments, scale, runner: ExperimentRunner,
-               phase_wall=None) -> int:
-    for experiment in experiments:
+def _run_experiments(args, experiments, scale, runner: ExperimentRunner,
+                     shutdown: ShutdownCoordinator,
+                     faults: Optional[FaultPlan], phase_wall) -> int:
+    """Run each experiment in order and print its table.
+
+    A permanent task failure fails only its experiment; the loop goes on
+    to the next one and the run exits 1. A shutdown request is honoured
+    before every experiment, because a store-warm one never reaches the
+    executor's poll. Progress is published as the ``experiments``
+    section of ``/progress``.
+    """
+    progress = get_progress()
+    counts = {"done": 0, "failed": 0}
+
+    def publish(current=None) -> None:
+        progress.update_section(
+            "experiments", current=current, total=len(experiments),
+            **counts,
+        )
+
+    progress.update(phase="running")
+    publish()
+    for index, experiment in enumerate(experiments):
+        if faults is not None:
+            faults.fire("experiment", index)
+        shutdown.check()
+        publish(experiment.id)
         started = time.perf_counter()
-        result = experiment.run(scale, runner)
-        elapsed = time.perf_counter() - started
-        if phase_wall is not None:
+        try:
+            with span("experiment", cat="experiment", id=experiment.id):
+                result = experiment.run(scale, runner)
+        except TaskExecutionError as exc:
+            counts["failed"] += 1
+            print(f"\n{experiment.id} failed: {exc}")
+        else:
+            elapsed = time.perf_counter() - started
             phase_wall[experiment.id] = elapsed
-        if not args.quiet:
-            print(f"\n=== {experiment.title} ({elapsed:.1f}s) ===")
-            print(result.format_table())
+            counts["done"] += 1
+            if not args.quiet:
+                print(f"\n=== {experiment.title} ({elapsed:.1f}s) ===")
+                print(result.format_table())
+        publish()
+    if counts["failed"]:
+        print(f"\n{counts['failed']} of {len(experiments)} experiment(s) "
+              "failed")
+        return 1
     return 0
-
-
-def _run_campaign(
-    args, experiments, scale,
-    runner: ExperimentRunner,
-    store: ResultStore,
-    shutdown: ShutdownCoordinator,
-    watchdog: Optional[Watchdog],
-    faults: Optional[FaultPlan],
-    phase_wall=None,
-) -> int:
-    ids = [experiment.id for experiment in experiments]
-    fingerprint = campaign_fingerprint(scale, ids)
-    campaign_dir = Path(store.root) / "campaign"
-    manifest_path = campaign_dir / "manifest.json"
-    if args.resume:
-        manifest = CampaignManifest.load(manifest_path)
-        if manifest.fingerprint != fingerprint:
-            raise CampaignError(
-                f"journal {manifest_path} was written for a different "
-                "scale preset, experiment list, or constants build; "
-                "refusing to mix results -- delete it (or rerun the "
-                "original command) to proceed"
-            )
-        if not args.quiet:
-            counts = manifest.counts()
-            print(
-                f"resuming campaign: {counts['done']} done, "
-                f"{len(manifest.pending_ids())} to run "
-                f"(journal {manifest_path})"
-            )
-    else:
-        manifest = CampaignManifest.fresh(manifest_path, ids, fingerprint)
-        if not args.quiet:
-            print(
-                f"campaign of {len(ids)} experiment(s); journal "
-                f"{manifest_path}"
-            )
-    marks = {"last": time.perf_counter()}
-
-    def _note_experiment(exp_id: str) -> None:
-        now = time.perf_counter()
-        if phase_wall is not None:
-            phase_wall[exp_id] = now - marks["last"]
-        marks["last"] = now
-
-    campaign = CampaignRunner(
-        manifest,
-        runner,
-        scale,
-        tables_dir=campaign_dir / "tables",
-        shutdown=shutdown,
-        watchdog=watchdog,
-        faults=faults,
-        on_experiment=_note_experiment,
-    )
-    status = campaign.run()
-    if not args.quiet:
-        for experiment in experiments:
-            table = status.tables.get(experiment.id)
-            if table is None:
-                continue
-            skipped = " [journaled]" if experiment.id in status.skipped \
-                else ""
-            print(f"\n=== {experiment.title}{skipped} ===")
-            print(table, end="" if table.endswith("\n") else "\n")
-        counts = manifest.counts()
-        print(
-            f"\ncampaign: {len(status.completed)} run, "
-            f"{len(status.skipped)} skipped (journaled), "
-            f"{len(status.failed)} failed; journal now "
-            f"{counts['done']}/{len(ids)} done"
-        )
-    if status.interrupted is not None:
-        print(
-            f"interrupted by {status.interrupted}; journal is "
-            f"consistent -- resume with: python -m repro.experiments "
-            f"{' '.join(args.ids)} --campaign --resume"
-        )
-        return SHUTDOWN_EXIT_CODE
-    return 0 if not status.failed else 1
 
 
 def _append_history(args, experiments, runner, store, scale, scale_name,
@@ -399,11 +338,10 @@ def _append_history(args, experiments, runner, store, scale, scale_name,
         figure="+".join(ids),
         scale=scale_name,
         engine=engine,
-        fingerprint=campaign_fingerprint(scale, ids),
+        fingerprint=run_fingerprint(scale, ids),
         wall=wall,
         counters=counters,
         store=runner.store_summary(),
-        campaign=bool(args.campaign),
         telemetry=args.telemetry_port is not None,
         jobs=jobs,
     )
@@ -438,9 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not args.ids:
         _list_experiments()
         return 0
-    if args.resume:
-        args.campaign = True
-
     configure_logging(-1 if args.quiet else args.verbose)
     engine = resolve_engine()
     obs_enabled = _enable_obs(args)
@@ -455,9 +390,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             store = ResultStore(args.cache_dir, faults=faults)
         else:
             store = ResultStore.from_env(faults=faults)
-    if args.campaign and store is None:
-        print("--campaign needs the result store; drop --no-cache")
-        return 2
     if args.clear_cache and store is not None:
         removed = store.clear()
         print(f"cleared {removed} cached results from {store.root}")
@@ -483,7 +415,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         engine=engine,
         scale=scale_name,
         jobs=jobs,
-        campaign=bool(args.campaign),
     )
     telemetry = None
     if args.telemetry_port is not None:
@@ -501,27 +432,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_started = time.perf_counter()
     try:
         try:
-            if args.campaign:
-                code = _run_campaign(
-                    args, experiments, scale, runner, store,
-                    shutdown, watchdog, faults, phase_wall=phase_wall,
-                )
-            else:
-                code = _run_plain(
-                    args, experiments, scale, runner, phase_wall=phase_wall
-                )
+            code = _run_experiments(
+                args, experiments, scale, runner, shutdown, faults,
+                phase_wall,
+            )
         except ShutdownRequested as exc:
-            # First signal outside the campaign loop: completed results
-            # are already checkpointed in the store; finish artifacts
-            # and exit with the resumable status.
+            # First signal: completed results are already checkpointed
+            # in the store; finish artifacts and exit resumable.
+            where = (
+                f"checkpointed in {store.root}" if store is not None
+                else "not kept (--no-cache)"
+            )
             print(
-                f"interrupted by {exc.signal_name}; completed results "
-                "are checkpointed in the store"
+                f"interrupted by {exc.signal_name}; rerun the same command "
+                f"to resume; completed results are {where}"
             )
             code = SHUTDOWN_EXIT_CODE
-        except CampaignError as exc:
-            print(f"campaign error: {exc}")
-            code = 2
         except MemoryBudgetError as exc:
             print(f"memory budget exhausted: {exc}")
             code = 1

@@ -1,9 +1,9 @@
 """Persistent run-history time-series (``colt-history-v1``).
 
-Every runner/campaign invocation appends one compact JSON record --
-constants fingerprint, engine, scale, per-phase wall times, store hit
-ratio, all counter totals -- to
-``<cache>/history/history.jsonl``. Appends go through
+Every store-backed ``python -m repro.experiments`` run -- ok, failed
+or interrupted -- appends one compact JSON record (run fingerprint,
+engine, scale, per-experiment wall times, store hit ratio, all counter
+totals) to ``<cache>/history/history.jsonl``. Appends go through
 :mod:`repro.common.atomicio` (read-all, rewrite, ``os.replace``), so a
 kill mid-append leaves the previous history intact, never a torn line.
 
@@ -65,7 +65,6 @@ def build_record(
     wall: Mapping[str, float],
     counters: Mapping[str, float],
     store: Optional[Mapping[str, float]] = None,
-    campaign: bool = False,
     telemetry: bool = False,
     jobs: int = 1,
 ) -> dict:
@@ -89,7 +88,6 @@ def build_record(
         "scale": scale,
         "engine": engine,
         "fingerprint": fingerprint,
-        "campaign": bool(campaign),
         "telemetry": bool(telemetry),
         "jobs": int(jobs),
         "wall": {str(k): float(v) for k, v in sorted(wall.items())},

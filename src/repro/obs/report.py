@@ -71,7 +71,6 @@ class RunReport:
     wall_ms: float = 0.0
     store: Dict[str, float] = field(default_factory=dict)
     resilience: Dict[str, float] = field(default_factory=dict)
-    campaign: Dict[str, float] = field(default_factory=dict)
     watchdog: Dict[str, float] = field(default_factory=dict)
     coalescing: Dict[str, dict] = field(default_factory=dict)
     buddy_timeline: Dict[str, float] = field(default_factory=dict)
@@ -99,7 +98,6 @@ class RunReport:
             report.instrument_count = len(snapshot)
             report._aggregate_store(snapshot)
             report._aggregate_resilience(snapshot)
-            report._aggregate_campaign(snapshot)
             report._aggregate_watchdog(snapshot)
             report._aggregate_coalescing(snapshot)
         return report
@@ -198,18 +196,6 @@ class RunReport:
         if any(totals.values()):
             self.resilience = totals
 
-    def _aggregate_campaign(self, snapshot: MetricsSnapshot) -> None:
-        totals = {
-            name: snapshot.counter_total(f"colt_campaign_{name}")
-            for name in (
-                "experiments", "completed", "skipped", "failed",
-                "interrupted", "resumed", "journal_writes",
-            )
-        }
-        # Only campaign-mode invocations carry these counters.
-        if any(totals.values()):
-            self.campaign = totals
-
     def _aggregate_watchdog(self, snapshot: MetricsSnapshot) -> None:
         totals = {
             name: snapshot.counter_total(f"colt_watchdog_{name}")
@@ -296,15 +282,6 @@ class RunReport:
             ]
             lines.append("")
             lines.append("resilience: " + ", ".join(parts))
-
-        if self.campaign:
-            parts = [
-                f"{value:.0f} {name}"
-                for name, value in self.campaign.items()
-                if value
-            ]
-            lines.append("")
-            lines.append("campaign: " + ", ".join(parts))
 
         if self.watchdog:
             parts = [

@@ -7,8 +7,8 @@ serves
 * ``/metrics`` -- the process-local :class:`~repro.obs.registry.MetricsRegistry`
   rendered in Prometheus text exposition format (counters, gauges and
   cumulative histogram buckets);
-* ``/progress`` -- campaign manifest counts, current experiment ids and
-  watchdog state as JSON, read from the
+* ``/progress`` -- the experiment loop's current/done/failed/total
+  counts, the requested experiment ids and watchdog state as JSON, read from the
   :class:`~repro.obs.live.ProgressTracker`;
 * ``/healthz`` -- liveness.
 

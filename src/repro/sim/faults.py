@@ -6,7 +6,7 @@ credible if it can be exercised on a *seeded schedule*: the same
 time, so a chaos test can assert the recovered results are bit-identical
 to a fault-free run. This module is that schedule. A :class:`FaultPlan`
 is a set of :class:`FaultSpec` triggers keyed by *site* (``capture``,
-``replay``, ``campaign``, ``store.write``) and the task's deterministic
+``replay``, ``experiment``, ``store.write``) and the task's deterministic
 index within that site -- never by wall-clock, pid, or pool scheduling
 order.
 
@@ -75,13 +75,13 @@ EXECUTION_KINDS = ("crash", "raise", "delay")
 #: Fault kinds applied to result-store writes.
 STORE_KINDS = ("torn", "corrupt")
 
-#: Sites execution faults may target. ``campaign`` fires in the parent
-#: at the top of a campaign experiment (indexed by its position in the
-#: manifest order), so chaos tests can kill a campaign mid-flight and
-#: assert the journal stayed consistent; ``crash`` there demotes to
+#: Sites execution faults may target. ``experiment`` fires in the
+#: parent before each experiment of a CLI run (indexed by its position
+#: in the requested order), so chaos tests can hold or interrupt a run
+#: between experiments; ``crash`` there demotes to
 #: :class:`~repro.common.errors.InjectedFaultError` like any other
 #: parent-process fire.
-TASK_SITES = ("capture", "replay", "campaign")
+TASK_SITES = ("capture", "replay", "experiment")
 
 #: The store-write site.
 STORE_SITE = "store.write"
@@ -98,7 +98,7 @@ class FaultSpec:
 
     Attributes:
         kind: one of ``crash``/``raise``/``delay``/``torn``/``corrupt``.
-        site: ``capture``, ``replay``, ``campaign`` or ``store.write``.
+        site: ``capture``, ``replay``, ``experiment`` or ``store.write``.
         indices: deterministic per-site task (or write) indices to hit.
         times: fault fires while ``attempt < times`` (default 1).
         seconds: sleep duration for ``delay`` faults.

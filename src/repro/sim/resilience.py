@@ -24,7 +24,7 @@ with per-task submission under an explicit :class:`RetryPolicy`:
   dump dir showing *where* the worker was stuck, not just that it
   was.
 * **Shutdown and stall hooks** -- an installed
-  :class:`~repro.sim.campaign.ShutdownCoordinator` turns the first
+  :class:`ShutdownCoordinator` turns the first
   SIGINT/SIGTERM into a :class:`~repro.common.errors.ShutdownRequested`
   raised at the next safe point (pending futures cancelled, completed
   results already yielded -- and therefore checkpointed); a
@@ -56,6 +56,8 @@ from __future__ import annotations
 
 import faulthandler
 import os
+import signal
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -183,6 +185,80 @@ class TaskSpec:
     def describe(self) -> str:
         detail = ", ".join(f"{k}={v}" for k, v in self.context.items())
         return f"{self.site} task {self.index} ({detail})"
+
+
+#: Exit status of a run that shut down gracefully on the first signal
+#: -- distinct from 0 (complete), 1 (error) and the shell's 128+signum
+#: (hard kill), so wrappers can distinguish "rerun me" from "debug me".
+SHUTDOWN_EXIT_CODE = 75  # EX_TEMPFAIL: transient, rerun later
+
+
+class ShutdownCoordinator:
+    """Two-stage SIGINT/SIGTERM handling for long runs.
+
+    First signal: remember it and let every polling site (executor
+    waits, the experiment loop) wind down gracefully.
+    Second signal: restore the default handler and re-raise, so an
+    operator is never trapped behind a graceful path that hangs.
+
+    Install from the main thread only (CPython restricts
+    ``signal.signal``); library code receives an installed coordinator
+    and merely polls :attr:`requested` / calls :meth:`check`.
+    """
+
+    def __init__(self) -> None:
+        self._event = threading.Event()
+        self.signal_name: Optional[str] = None
+        self._previous: Dict[int, object] = {}
+
+    @property
+    def requested(self) -> bool:
+        return self._event.is_set()
+
+    def check(self) -> None:
+        """Raise :class:`ShutdownRequested` if a signal arrived."""
+        if self._event.is_set():
+            raise ShutdownRequested(self.signal_name or "signal")
+
+    def request(self, signal_name: str = "request()") -> None:
+        """Programmatic trigger (tests, embedding)."""
+        if not self._event.is_set():
+            self.signal_name = signal_name
+        self._event.set()
+
+    def _handle(self, signum, frame) -> None:
+        name = signal.Signals(signum).name
+        if self._event.is_set():
+            # Second signal: get out of the way and take the default
+            # (fatal) behaviour -- every completed result is already in
+            # the store, so a hard abort loses nothing but politeness.
+            _LOG.warning("second %s: hard abort", name)
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        self.signal_name = name
+        self._event.set()
+        _LOG.warning(
+            "%s received: cancelling pending work, checkpointing "
+            "completed results (signal again to hard-abort)", name,
+        )
+
+    def install(self, signals=(signal.SIGINT, signal.SIGTERM)
+                ) -> "ShutdownCoordinator":
+        for sig in signals:
+            self._previous[sig] = signal.signal(sig, self._handle)
+        return self
+
+    def restore(self) -> None:
+        for sig, previous in self._previous.items():
+            signal.signal(sig, previous)
+        self._previous.clear()
+
+    def __enter__(self) -> "ShutdownCoordinator":
+        return self.install()
+
+    def __exit__(self, *exc_info) -> None:
+        self.restore()
 
 
 class ResilientExecutor:

@@ -169,7 +169,7 @@ class ExperimentRunner:
             executor; ``None`` means ``RetryPolicy()``.
         faults: deterministic fault-injection plan; ``None`` injects
             nothing.
-        shutdown: optional :class:`repro.sim.campaign.ShutdownCoordinator`
+        shutdown: optional :class:`repro.sim.resilience.ShutdownCoordinator`
             polled between (and during) waves; a requested shutdown
             raises :class:`~repro.common.errors.ShutdownRequested` with
             every already-completed result checkpointed.

@@ -52,7 +52,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.common import constants
 from repro.common.atomicio import atomic_write_bytes
@@ -167,24 +167,30 @@ def _constants_fingerprint() -> dict:
     }
 
 
-def constants_fingerprint() -> dict:
-    """Public view of the constants fingerprint (campaign journals
-    embed it so a resumed campaign refuses to mix results computed
-    under different architectural constants)."""
-    return _constants_fingerprint()
-
-
-def canonical_encode(value):
-    """Public view of the canonical config encoding (campaign
-    fingerprints reuse it for the scale preset)."""
-    return _encode(value)
-
-
 def config_key(config: SimulationConfig) -> str:
     """Stable content hash of a config + code-relevant constants."""
     payload = {
         "version": STORE_VERSION,
         "config": _encode(config),
+        "constants": _constants_fingerprint(),
+    }
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def run_fingerprint(scale, experiment_ids: Sequence[str]) -> str:
+    """Stable hash of what one experiment run's numbers depend on.
+
+    Covers the scale preset, the experiment list and the architectural
+    constants; every history record carries it, so two records with
+    equal fingerprints ran the same inputs. The payload layout
+    (including ``"version": 1``) is frozen: existing ``history.jsonl``
+    records must keep comparing equal.
+    """
+    payload = {
+        "version": 1,
+        "scale": _encode(scale),
+        "ids": list(experiment_ids),
         "constants": _constants_fingerprint(),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

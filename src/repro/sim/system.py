@@ -112,7 +112,7 @@ class SimulationConfig:
     def __post_init__(self) -> None:
         """Reject impossible runs at construction, not hours in.
 
-        Campaign resubmission makes late failures expensive: a config
+        Long runs and retries make late failures expensive: a config
         that cannot ever simulate should fail here with a message that
         says what to change, not after its capture wave is scheduled.
         """

@@ -1,14 +1,14 @@
-"""Stall and memory watchdog for long experiment campaigns.
+"""Stall and memory watchdog for long experiment runs.
 
-A multi-hour all-figures campaign can die in two ways PR 4's per-task
+A multi-hour all-figures run can die in two ways PR 4's per-task
 retry machinery does not see coming:
 
 * **Stalls** -- a worker wedges (deadlocked pool pipe, pathological
   input, runaway GC) without tripping any per-task deadline, and the
-  campaign silently stops making progress.
+  run silently stops making progress.
 * **Memory pressure** -- captured scenarios and pool workers push RSS
   past what the machine can give, and the OOM killer takes the whole
-  campaign instead of one task.
+  run instead of one task.
 
 :class:`Watchdog` is a daemon monitor thread that defends against
 both. The executor reports liveness through :meth:`heartbeat` (one
@@ -27,8 +27,8 @@ beat per completed task) and brackets its batches with
    count), then *disable prefetch* (the runner replays scenario groups
    one at a time and drops captured logs between them), and only after
    both rungs failed does it arm :meth:`should_abort`, turning an
-   opaque OOM kill into a clean :class:`MemoryBudgetError` with the
-   journal intact.
+   opaque OOM kill into a clean :class:`MemoryBudgetError` with every
+   completed result already checkpointed in the store.
 
 All wall-clock reads live here and only pace *monitoring*; nothing in
 this module feeds a ``SimulationResult`` (the file is on the lint's

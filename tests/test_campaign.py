@@ -1,19 +1,21 @@
-"""Campaigns: atomic writes, the WAL journal, shutdown, watchdogs.
+"""Interrupt and rerun: atomic writes, shutdown, watchdogs, the CLI loop.
 
 The invariants pinned here are the robustness contract of
-``repro.sim.campaign`` / ``repro.sim.watchdog`` /
-``repro.common.atomicio``:
+``repro.sim.resilience`` / ``repro.sim.watchdog`` /
+``repro.common.atomicio`` and the ``python -m repro.experiments`` loop:
 
 * an artifact write killed at any point leaves the old file intact;
-* the journal is consistent at every kill point (write-ahead: mark
-  -running precedes work, mark-done follows it);
-* an interrupted campaign resumed from its journal completes
-  bit-identically to an uninterrupted one;
+* the first signal stops the run at a safe point with exit 75, and
+  rerunning the same command on the same store is the resume: it
+  prints byte-identical tables without recomputing anything;
+* a permanent task failure fails only its experiment; the run still
+  prints its summaries and appends a ``failed`` history record;
 * a stall fires a stack dump and requeues through the ordinary retry
   machinery; memory pressure climbs the degradation ladder.
 """
 
 import os
+import re
 import signal
 import time
 from dataclasses import dataclass
@@ -25,28 +27,22 @@ from repro.common.atomicio import (
     atomic_write_json,
     atomic_write_text,
 )
-from repro.common.errors import (
-    CampaignError,
-    InjectedFaultError,
-    ShutdownRequested,
-    StallError,
-)
-from repro.experiments.__main__ import _build_parser, build_watchdog
+from repro.common.errors import ShutdownRequested
+from repro.experiments.__main__ import _build_parser, build_watchdog, main
+from repro.experiments.scale import QUICK, ExperimentScale
+from repro.obs.history import history_path, load_history
+from repro.obs.live import get_progress, reset_progress
 from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
 from repro.obs.registry import set_registry
-from repro.sim.campaign import (
-    CAMPAIGN_VERSION,
+from repro.sim.faults import FAULTS_ENV
+from repro.sim.resilience import (
     SHUTDOWN_EXIT_CODE,
-    STATUS_DONE,
-    STATUS_PENDING,
-    STATUS_RUNNING,
-    CampaignManifest,
-    CampaignRunner,
+    ResilientExecutor,
+    RetryPolicy,
     ShutdownCoordinator,
-    campaign_fingerprint,
+    TaskSpec,
 )
-from repro.sim.faults import FaultPlan
-from repro.sim.resilience import ResilientExecutor, RetryPolicy, TaskSpec
+from repro.sim.store import run_fingerprint
 from repro.sim.watchdog import (
     DEGRADE_ABORT,
     DEGRADE_NO_PREFETCH,
@@ -116,86 +112,27 @@ class TestAtomicIO:
 
 
 # ---------------------------------------------------------------------------
-# The write-ahead journal.
+# The run fingerprint history records carry.
 # ---------------------------------------------------------------------------
 
 
-class TestCampaignManifest:
-    def test_fresh_writes_all_pending(self, tmp_path):
-        path = tmp_path / "campaign" / "manifest.json"
-        manifest = CampaignManifest.fresh(path, ["a", "b"], "f" * 64)
-        assert path.exists()
-        assert manifest.pending_ids() == ["a", "b"]
-        assert not manifest.is_complete()
-        loaded = CampaignManifest.load(path)
-        assert loaded.experiment_ids == ("a", "b")
-        assert loaded.fingerprint == "f" * 64
-
-    def test_transitions_journal_before_and_after(self, tmp_path):
-        path = tmp_path / "manifest.json"
-        manifest = CampaignManifest.fresh(path, ["a", "b"], "fp")
-        manifest.mark_running("a")
-        # Kill point: reloading now must show 'a' in flight.
-        assert CampaignManifest.load(path).status("a") == STATUS_RUNNING
-        manifest.mark_done("a")
-        manifest.mark_failed("b", "stack overflow of ambition")
-        reloaded = CampaignManifest.load(path)
-        assert reloaded.status("a") == STATUS_DONE
-        assert reloaded.entries["b"]["error"].startswith("stack overflow")
-        # failed entries are retried on resume; done ones are not.
-        assert reloaded.pending_ids() == ["b"]
-        assert reloaded.entries["a"]["attempts"] == 1
-
-    def test_demote_running_requeues_in_flight_work(self, tmp_path):
-        manifest = CampaignManifest.fresh(
-            tmp_path / "m.json", ["a", "b", "c"], "fp"
-        )
-        manifest.mark_running("a")
-        manifest.mark_done("a")
-        manifest.mark_running("b")
-        # The process dies here; resume repairs the journal.
-        resumed = CampaignManifest.load(tmp_path / "m.json")
-        assert resumed.demote_running() == ["b"]
-        assert resumed.status("b") == STATUS_PENDING
-        assert resumed.status("a") == STATUS_DONE
-        assert resumed.demote_running() == []
-
-    def test_load_rejects_missing_and_garbage(self, tmp_path):
-        with pytest.raises(CampaignError, match="no campaign journal"):
-            CampaignManifest.load(tmp_path / "absent.json")
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json {")
-        with pytest.raises(CampaignError, match="unreadable"):
-            CampaignManifest.load(bad)
-
-    def test_load_rejects_version_skew(self, tmp_path):
-        path = tmp_path / "m.json"
-        CampaignManifest.fresh(path, ["a"], "fp")
-        text = path.read_text().replace(
-            f'"version": {CAMPAIGN_VERSION}', '"version": 999'
-        )
-        path.write_text(text)
-        with pytest.raises(CampaignError, match="version"):
-            CampaignManifest.load(path)
-
-    def test_load_rejects_unknown_status(self, tmp_path):
-        path = tmp_path / "m.json"
-        CampaignManifest.fresh(path, ["a"], "fp")
-        path.write_text(
-            path.read_text().replace('"pending"', '"exploded"')
-        )
-        with pytest.raises(CampaignError, match="unknown status"):
-            CampaignManifest.load(path)
-
+class TestRunFingerprint:
     def test_fingerprint_covers_scale_ids_and_constants(self):
         @dataclass(frozen=True)
         class FakeScale:
             accesses: int = 1000
 
-        base = campaign_fingerprint(FakeScale(), ["a", "b"])
-        assert base == campaign_fingerprint(FakeScale(), ["a", "b"])
-        assert base != campaign_fingerprint(FakeScale(2000), ["a", "b"])
-        assert base != campaign_fingerprint(FakeScale(), ["a"])
+        base = run_fingerprint(FakeScale(), ["a", "b"])
+        assert base == run_fingerprint(FakeScale(), ["a", "b"])
+        assert base != run_fingerprint(FakeScale(2000), ["a", "b"])
+        assert base != run_fingerprint(FakeScale(), ["a"])
+
+    def test_quick_fig18_value_is_pinned(self):
+        # Existing history.jsonl records carry this value; a change to
+        # the hashed payload would split every trend table in two.
+        assert run_fingerprint(QUICK, ["fig18"]) == (
+            "7f0d48fe4ae677f1fdc3ad6f8503955521d2b8435b82c98eb5bccd17f9641f15"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -369,148 +306,105 @@ class TestExecutorIntegration:
 
 
 # ---------------------------------------------------------------------------
-# CampaignRunner over a stub registry (fast, deterministic).
+# The CLI loop: failures, interrupts, and rerun-as-resume.
 # ---------------------------------------------------------------------------
 
 
-class _StubResult:
-    def __init__(self, text):
-        self._text = text
-
-    def format_table(self):
-        return self._text
-
-
-class _StubExperiment:
-    def __init__(self, exp_id, hook=None):
-        self.id = exp_id
-        self.runs = 0
-        self._hook = hook
-
-    def run(self, scale, runner):
-        self.runs += 1
-        if self._hook is not None:
-            self._hook(self)
-        return _StubResult(f"table of {self.id}")
+_TINY = ExperimentScale(
+    accesses=2_000,
+    num_frames=1 << 13,
+    footprint_scale=0.2,
+    benchmarks=("mcf", "astar"),
+)
 
 
 @pytest.fixture
-def stub_registry(monkeypatch):
-    experiments = {}
-
-    def get_experiment(exp_id):
-        return experiments[exp_id]
-
+def tiny_cli(monkeypatch, obs_off):
+    """``main()`` at the tiny scale with no fault plan and fresh progress."""
     monkeypatch.setattr(
-        "repro.experiments.registry.get_experiment", get_experiment
+        "repro.experiments.__main__.scale_from_env", lambda: _TINY
     )
-    return experiments
+    monkeypatch.delenv(FAULTS_ENV, raising=False)
+    reset_progress()
+    yield main
+    reset_progress()
 
 
-class TestCampaignRunner:
-    def _campaign(self, tmp_path, ids, **kwargs):
-        manifest = CampaignManifest.fresh(
-            tmp_path / "manifest.json", ids, "fp"
-        )
-        return CampaignRunner(
-            manifest, runner=None, scale=None,
-            tables_dir=tmp_path / "tables", **kwargs
-        )
+def _tables(out: str) -> str:
+    """The printed tables, minus the elapsed-time stamps in headers."""
+    tables = out.split("\nstore:")[0]
+    return re.sub(r" \(\d+\.\ds\) ===", " ===", tables)
 
-    def test_clean_run_journals_everything_done(self, tmp_path, obs_off,
-                                                stub_registry):
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
-        campaign = self._campaign(tmp_path, ["a", "b"])
-        status = campaign.run()
-        assert status.ok
-        assert status.completed == ["a", "b"]
-        assert campaign.manifest.is_complete()
-        assert (tmp_path / "tables" / "a.txt").read_text() == \
-            "table of a\n"
 
-    def test_resume_skips_done_and_reloads_tables(self, tmp_path, obs_off,
-                                                  stub_registry):
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
-        first = self._campaign(tmp_path, ["a", "b"])
-        first.run()
-        # Second run over the same journal: nothing recomputes.
-        resumed = CampaignManifest.load(tmp_path / "manifest.json")
-        campaign = CampaignRunner(
-            resumed, runner=None, scale=None,
-            tables_dir=tmp_path / "tables",
-        )
-        status = campaign.run()
-        assert status.skipped == ["a", "b"]
-        assert status.completed == []
-        assert stub_registry["a"].runs == 1
-        assert status.tables["a"] == "table of a\n"
-
-    def test_shutdown_mid_campaign_requeues_in_flight(self, tmp_path,
-                                                      obs_off,
-                                                      stub_registry):
-        shutdown = ShutdownCoordinator()
-
-        # The second experiment sees the signal while *running* (the
-        # executor raises, exactly like a real mid-batch SIGINT): it
-        # must be journaled back to pending, not lost or marked done.
-        def interrupt(exp):
-            shutdown.request("SIGINT")
-            shutdown.check()
-
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b", hook=interrupt)
-        stub_registry["c"] = _StubExperiment("c")
-        campaign = self._campaign(
-            tmp_path, ["a", "b", "c"], shutdown=shutdown
-        )
-        status = campaign.run()
-        assert status.interrupted == "SIGINT"
-        assert status.completed == ["a"]
-        journal = CampaignManifest.load(tmp_path / "manifest.json")
-        assert journal.status("a") == STATUS_DONE
-        assert journal.status("b") == STATUS_PENDING
-        assert journal.status("c") == STATUS_PENDING
-        assert stub_registry["c"].runs == 0
-
-        # Resume: only b and c run; the journal completes.
-        shutdown2 = ShutdownCoordinator()
-        stub_registry["b"]._hook = None
-        campaign2 = CampaignRunner(
-            journal, runner=None, scale=None,
-            tables_dir=tmp_path / "tables", shutdown=shutdown2,
-        )
-        status2 = campaign2.run()
-        assert status2.ok
-        assert status2.completed == ["b", "c"]
-        assert status2.skipped == ["a"]
-        assert stub_registry["a"].runs == 1
-        assert CampaignManifest.load(
-            tmp_path / "manifest.json"
-        ).is_complete()
-
-    def test_campaign_fault_leaves_running_entry_for_resume(
-        self, tmp_path, obs_off, stub_registry
+class TestCliRun:
+    def test_permanent_failure_fails_the_experiment_not_the_run(
+        self, tiny_cli, tmp_path, monkeypatch, capsys
     ):
-        """``crash@campaign`` kills between mark-running and mark-done;
-        the journal must say 'running' (rerun me), never 'done'."""
-        stub_registry["a"] = _StubExperiment("a")
-        stub_registry["b"] = _StubExperiment("b")
-        plan = FaultPlan.parse("crash@campaign:1")
-        campaign = self._campaign(tmp_path, ["a", "b"], faults=plan)
-        with pytest.raises(InjectedFaultError):
-            campaign.run()
-        journal = CampaignManifest.load(tmp_path / "manifest.json")
-        assert journal.status("a") == STATUS_DONE
-        assert journal.status("b") == STATUS_RUNNING
+        monkeypatch.setenv(FAULTS_ENV, "raise@replay:0x9")
+        cache = tmp_path / "cache"
+        code = tiny_cli([
+            "fig18", "fig19", "--jobs", "1", "--retries", "0",
+            "--cache-dir", str(cache),
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        # Every requested experiment was attempted.
+        assert "fig18 failed:" in out and "fig19 failed:" in out
+        assert "2 of 2 experiment(s) failed" in out
+        assert "\nstore: " in out and "\nresilience: " in out
+        records = load_history(history_path(cache))
+        assert [r["status"] for r in records] == ["failed"]
+        assert get_progress().snapshot()["experiments"] == {
+            "current": None, "done": 0, "failed": 2, "total": 2,
+        }
 
-        # Resume demotes the orphaned entry and finishes the campaign.
-        assert journal.demote_running() == ["b"]
-        campaign2 = CampaignRunner(
-            journal, runner=None, scale=None,
-            tables_dir=tmp_path / "tables",
+    def test_rerun_is_the_resume(self, tiny_cli, tmp_path, capsys):
+        argv = ["fig18", "--jobs", "1", "--cache-dir", str(tmp_path)]
+        assert tiny_cli(argv) == 0
+        first = capsys.readouterr().out
+        assert tiny_cli(argv) == 0
+        second = capsys.readouterr().out
+        assert "=== " in first
+        assert _tables(second) == _tables(first)
+        assert re.search(r"store: \d+ hits, 0 misses", second)
+        records = load_history(history_path(tmp_path))
+        assert [r["status"] for r in records] == ["ok", "ok"]
+        assert records[0]["fingerprint"] == records[1]["fingerprint"]
+
+    def test_signal_between_experiments_exits_resumable(
+        self, tiny_cli, tmp_path, monkeypatch, capsys
+    ):
+        ran = []
+
+        class _Result:
+            @staticmethod
+            def format_table():
+                return "table"
+
+        class _Experiment:
+            def __init__(self, exp_id, interrupt):
+                self.id = exp_id
+                self.title = exp_id
+                self._interrupt = interrupt
+
+            def run(self, scale, runner):
+                ran.append(self.id)
+                if self._interrupt:
+                    # The installed coordinator only sets its flag; a
+                    # store-warm next experiment never reaches the
+                    # executor, so the loop itself must stop.
+                    os.kill(os.getpid(), signal.SIGINT)
+                return _Result()
+
+        monkeypatch.setattr(
+            "repro.experiments.__main__.resolve_experiments",
+            lambda ids: (_Experiment("a", True), _Experiment("b", False)),
         )
-        status = campaign2.run()
-        assert status.ok and status.completed == ["b"]
-        assert journal.is_complete()
+        code = tiny_cli(["a", "b", "--cache-dir", str(tmp_path)])
+        assert code == SHUTDOWN_EXIT_CODE
+        assert ran == ["a"]
+        out = capsys.readouterr().out
+        assert "interrupted by SIGINT; rerun the same command" in out
+        assert str(tmp_path) in out
+        records = load_history(history_path(tmp_path))
+        assert [r["status"] for r in records] == ["interrupted"]

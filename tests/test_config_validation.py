@@ -1,6 +1,6 @@
 """Eager configuration validation: impossible runs fail at construction.
 
-Campaigns make late failures expensive -- a config that can never
+Long runs make late failures expensive -- a config that can never
 simulate must be rejected when it is built, with a message naming the
 offending knob, not hours later inside a worker. These are the
 rejection matrices for :class:`repro.sim.system.SimulationConfig` and

@@ -101,14 +101,14 @@ class TestFaultPlan:
         )
         assert FaultPlan.parse(text).render() == text
 
-    def test_campaign_site_parses_and_fires_in_parent(self):
-        # ``campaign`` faults always fire in the coordinating process,
+    def test_experiment_site_parses_and_fires_in_parent(self):
+        # ``experiment`` faults always fire in the coordinating process,
         # so even ``crash`` demotes to a catchable exception -- the
-        # chaos test kills the campaign loop, not the test runner.
-        plan = FaultPlan.parse("crash@campaign:1")
-        plan.fire("campaign", 0, 0)  # wrong index: no-op
+        # chaos test stops the experiment loop, not the test runner.
+        plan = FaultPlan.parse("crash@experiment:1")
+        plan.fire("experiment", 0, 0)  # wrong index: no-op
         with pytest.raises(InjectedFaultError):
-            plan.fire("campaign", 1, 0)
+            plan.fire("experiment", 1, 0)
         assert plan.counters.as_dict()["crash"] == 1
 
     @pytest.mark.parametrize("bad", [
@@ -512,56 +512,6 @@ class TestChaosMatrix:
         resume = ExperimentRunner(jobs=2, store=resume_store)
         assert resume.run_designs(CHAOS_CONFIG) == baseline
         assert resume_store.counters.as_dict()["hits"] >= 1
-
-    def test_campaign_crash_then_resume_matches_baseline(
-        self, tmp_path, obs_off, baseline, monkeypatch
-    ):
-        """``crash@campaign``: die after mark-running, resume from the
-        journal, and end bit-identical to the fault-free baseline."""
-        from repro.sim.campaign import CampaignManifest, CampaignRunner
-
-        captured = {}
-
-        class _ChaosExperiment:
-            id = "chaos"
-
-            def run(self, scale, runner):
-                captured["results"] = runner.run_designs(CHAOS_CONFIG)
-
-                class _Table:
-                    @staticmethod
-                    def format_table():
-                        return "chaos"
-
-                return _Table()
-
-        monkeypatch.setattr(
-            "repro.experiments.registry.get_experiment",
-            lambda exp_id: _ChaosExperiment(),
-        )
-        store = ResultStore(tmp_path / "cache")
-        manifest = CampaignManifest.fresh(tmp_path / "m.json", ["chaos"],
-                                          "fp")
-        campaign = CampaignRunner(
-            manifest, ExperimentRunner(jobs=2, store=store), scale=None,
-            tables_dir=tmp_path / "tables",
-            faults=FaultPlan.parse("crash@campaign:0"),
-        )
-        with pytest.raises(InjectedFaultError):
-            campaign.run()
-        # Killed between mark-running and mark-done: in flight.
-        journal = CampaignManifest.load(tmp_path / "m.json")
-        assert journal.status("chaos") == "running"
-
-        resumed = CampaignRunner(
-            journal,
-            ExperimentRunner(jobs=2, store=ResultStore(tmp_path / "cache")),
-            scale=None, tables_dir=tmp_path / "tables",
-        )
-        status = resumed.run()
-        assert status.ok and status.completed == ["chaos"]
-        assert journal.is_complete()
-        assert captured["results"] == baseline
 
     def test_serial_crash_demotes_to_recoverable_exception(self, obs_off,
                                                            baseline):

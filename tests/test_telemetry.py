@@ -3,7 +3,7 @@
 Covers the Prometheus text exposition (round-tripped through a tiny
 text-format parser written here), label-value escaping, the histogram
 bucket-mismatch merge rejection, the HTTP endpoints, and the headline
-guarantee: a campaign served concurrently by ``/metrics`` polling stays
+guarantee: a run served concurrently by ``/metrics`` polling stays
 bit-identical to an unserved run.
 """
 
@@ -26,7 +26,6 @@ from repro.obs.registry import (
 )
 from repro.obs.serve import TelemetryServer, prometheus_text
 from repro.obs.trace import PROFILE_ENV, TRACE_ENV, reset_tracing
-from repro.sim.campaign import CampaignManifest, CampaignRunner
 from repro.sim.runner import ExperimentRunner
 
 
@@ -248,12 +247,12 @@ class TestHistogramMergeValidation:
 class TestProgressTracker:
     def test_update_and_sections(self):
         tracker = ProgressTracker()
-        tracker.update(phase="campaign", jobs=4)
-        tracker.update_section("campaign", done=1, total=3)
-        tracker.update_section("campaign", done=2)
+        tracker.update(phase="running", jobs=4)
+        tracker.update_section("experiments", done=1, total=3)
+        tracker.update_section("experiments", done=2)
         snap = tracker.snapshot()
-        assert snap["phase"] == "campaign"
-        assert snap["campaign"] == {"done": 2, "total": 3}
+        assert snap["phase"] == "running"
+        assert snap["experiments"] == {"done": 2, "total": 3}
 
     def test_snapshot_is_a_deep_copy(self):
         tracker = ProgressTracker()
@@ -344,15 +343,9 @@ _TINY = ExperimentScale(
 )
 
 
-def _run_tiny_campaign(tmp_path, name, poll_port=None):
-    """One fig18 campaign at the tiny scale; returns its table text."""
-    manifest = CampaignManifest.fresh(
-        tmp_path / name / "manifest.json", ["fig18"], "test-fingerprint"
-    )
+def _run_tiny_fig18(poll_port=None):
+    """One fig18 run at the tiny scale; returns its table text."""
     runner = ExperimentRunner(jobs=1, store=None)
-    campaign = CampaignRunner(
-        manifest, runner, _TINY, tables_dir=tmp_path / name / "tables"
-    )
 
     polls = {"metrics": 0, "progress": 0}
     stop = threading.Event()
@@ -373,31 +366,28 @@ def _run_tiny_campaign(tmp_path, name, poll_port=None):
         poller = threading.Thread(target=hammer, daemon=True)
         poller.start()
     try:
-        status = campaign.run()
+        table = get_experiment("fig18").run(_TINY, runner).format_table()
     finally:
         stop.set()
         if poller is not None:
             poller.join(timeout=10)
-    assert status.ok and status.completed == ["fig18"]
     if poll_port is not None:
         assert polls["metrics"] > 0 and polls["progress"] > 0
-    return status.tables["fig18"]
+    return table
 
 
 class TestServedBitIdentity:
-    def test_metrics_polling_does_not_perturb_campaign(
-        self, obs_profile, tmp_path
-    ):
+    def test_metrics_polling_does_not_perturb_campaign(self, obs_profile):
         get_experiment("fig18")  # fail fast if the id ever changes
         server = TelemetryServer(0)
         port = server.start()
         try:
-            served = _run_tiny_campaign(tmp_path, "served", poll_port=port)
+            served = _run_tiny_fig18(poll_port=port)
         finally:
             server.stop()
         # Fresh obs state for the unserved control run.
         reset_tracing()
         set_registry(None)
         reset_progress()
-        unserved = _run_tiny_campaign(tmp_path, "unserved")
+        unserved = _run_tiny_fig18()
         assert served == unserved

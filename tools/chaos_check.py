@@ -11,18 +11,15 @@ results. ``--list-modes`` enumerates them:
     **resume** (a fault-free runner over the corrupted store B, which
     must quarantine exactly the corrupt entries and recompute them).
 
-``campaign`` (``--campaign``)
-    End-to-end campaign journal invariant via
-    ``python -m repro.experiments --campaign`` subprocesses: a clean
-    run, a SIGTERM kill mid-campaign (resumable exit status, consistent
-    write-ahead journal), a ``--resume`` to byte-identical tables, and
-    a stall-watchdog run that must dump stacks yet converge.
-
-``telemetry`` (``--telemetry``)
-    The telemetry plane's crash discipline: live /healthz, /progress
-    and /metrics probes mid-campaign, clean server shutdown on SIGTERM
-    (exit 75, port released), and ``colt-history-v1`` records for both
-    the killed and the resumed run.
+``interrupt`` (``--interrupt``)
+    End-to-end interrupt-and-rerun invariant via
+    ``python -m repro.experiments`` subprocesses: a clean run; a served
+    run (``--telemetry-port 0``) probed live on /healthz, /progress and
+    /metrics, then SIGTERMed between experiments (exit 75, port
+    released, a non-ok history record); a rerun of the same command
+    that must print byte-identical tables from store hits and append
+    an ok record; and a stall-watchdog run that must dump stacks yet
+    converge.
 
 Exit status is non-zero on any divergence. Because injected faults only
 kill/delay/corrupt -- they never feed a number into a simulation -- any
@@ -40,7 +37,6 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -49,9 +45,9 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 )
 
-from repro.sim.campaign import SHUTDOWN_EXIT_CODE  # noqa: E402
+from repro.obs.history import history_path, load_history  # noqa: E402
 from repro.sim.faults import FaultPlan  # noqa: E402
-from repro.sim.resilience import RetryPolicy  # noqa: E402
+from repro.sim.resilience import SHUTDOWN_EXIT_CODE, RetryPolicy  # noqa: E402
 from repro.sim.runner import ExperimentRunner  # noqa: E402
 from repro.sim.store import QUARANTINE_DIR, ResultStore  # noqa: E402
 from repro.experiments.registry import get_experiment  # noqa: E402
@@ -69,15 +65,15 @@ CORRUPTED_WRITES = 2
 
 FIGURE = "fig18"
 
-#: Experiments for the campaign check. fig19 replays fig18's scenario
-#: groups, so the second campaign entry is cheap but still exercises a
-#: distinct journal transition.
-CAMPAIGN_IDS = ("fig18", "fig19")
+#: Experiments for the interrupt check. fig19 replays fig18's scenario
+#: groups, so the second experiment is cheap but still a separate step
+#: of the loop.
+INTERRUPT_IDS = ("fig18", "fig19")
 
-#: Parent-process hold on campaign entry 1: a window in which the
-#: SIGTERM deterministically lands between the journal's
-#: ``mark_running`` and the experiment's first task, so the kill always
-#: interrupts a running campaign rather than racing its completion.
+#: Parent-process hold before experiment 1 (``delay@experiment:1``): a
+#: window in which the SIGTERM deterministically lands after fig18's
+#: table and before fig19 starts, so the signal always interrupts a
+#: running run rather than racing its completion.
 HOLD_SECONDS = 10.0
 
 #: Stall-watchdog phase: the first capture sleeps DELAY, the watchdog
@@ -119,10 +115,18 @@ def _compare(name: str, clean: ExperimentRunner, other: ExperimentRunner,
 
 
 # ----------------------------------------------------------------------
-# Shared campaign-subprocess helpers (used by every subprocess mode).
+# Shared CLI-subprocess helpers.
 # ----------------------------------------------------------------------
 
-def _campaign_env(faults: str = "") -> dict:
+#: The always-printed line that announces the bound telemetry port
+#: (the only way to learn it when ``--telemetry-port 0`` is used).
+TELEMETRY_LINE = re.compile(r"telemetry: http://127\.0\.0\.1:(\d+)/")
+
+#: A table header, ``=== <title> (<elapsed>s) ===``.
+HEADER_LINE = re.compile(r"^=== (.*?)(?: \(\d+\.\ds\))? ===$")
+
+
+def _run_env(faults: str = "") -> dict:
     """Subprocess environment: QUICK scale, src on path, chosen faults."""
     env = dict(os.environ)
     src = os.path.join(
@@ -130,6 +134,8 @@ def _campaign_env(faults: str = "") -> dict:
     )
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_SCALE"] = "quick"
+    # Table headers must reach a watching reader as they are printed.
+    env["PYTHONUNBUFFERED"] = "1"
     if faults:
         env["COLT_FAULTS"] = faults
     else:
@@ -137,41 +143,35 @@ def _campaign_env(faults: str = "") -> dict:
     return env
 
 
-def _campaign_cmd(cache_dir: str, jobs: int, ids=CAMPAIGN_IDS, extra=()):
+def _run_cmd(cache_dir: str, jobs: int, ids=INTERRUPT_IDS, extra=()):
     return [
         sys.executable, "-m", "repro.experiments", *ids,
-        "--campaign", "--jobs", str(jobs), "--cache-dir", cache_dir,
-        *extra,
+        "--jobs", str(jobs), "--cache-dir", cache_dir, *extra,
     ]
 
 
-def _statuses(cache_dir: str) -> dict:
-    manifest = Path(cache_dir) / "campaign" / "manifest.json"
-    data = json.loads(manifest.read_text(encoding="utf-8"))
-    return {
-        exp_id: entry["status"]
-        for exp_id, entry in data["entries"].items()
-    }
-
-
-def _tables(cache_dir: str) -> dict:
-    tables_dir = Path(cache_dir) / "campaign" / "tables"
-    return {
-        path.name: path.read_bytes()
-        for path in sorted(tables_dir.glob("*.txt"))
-    }
+def _printed_tables(out: str) -> dict:
+    """Experiment title -> printed table text, elapsed stamps dropped."""
+    tables: dict = {}
+    title = None
+    for line in out.splitlines():
+        header = HEADER_LINE.match(line)
+        if header:
+            title = header.group(1)
+            tables[title] = ""
+        elif title is not None and line.startswith("store: "):
+            title = None
+        elif title is not None:
+            tables[title] += line + "\n"
+    return {name: text.strip("\n") for name, text in tables.items()}
 
 
 def _checked_run(label: str, cache_dir: str, jobs: int, faults: str = "",
-                 ids=CAMPAIGN_IDS, extra=()):
-    """Run one campaign subprocess; None (after a FAIL line) on rc != 0.
-
-    The shared run half of every mode's run-and-compare step: build the
-    command, set the environment, capture output, complain uniformly.
-    """
+                 ids=INTERRUPT_IDS, extra=()):
+    """Run one CLI subprocess; None (after a FAIL line) on rc != 0."""
     result = subprocess.run(
-        _campaign_cmd(cache_dir, jobs, ids=ids, extra=extra),
-        env=_campaign_env(faults), capture_output=True, text=True,
+        _run_cmd(cache_dir, jobs, ids=ids, extra=extra),
+        env=_run_env(faults), capture_output=True, text=True,
     )
     if result.returncode != 0:
         print(f"FAIL: {label} exited {result.returncode}\n"
@@ -180,79 +180,68 @@ def _checked_run(label: str, cache_dir: str, jobs: int, faults: str = "",
     return result
 
 
-def _compare_tables(label: str, cache_dir: str, clean_tables: dict) -> int:
-    """The shared compare half: table dumps must be byte-identical."""
-    tables = _tables(cache_dir)
-    if tables != clean_tables:
+def _same_tables(label: str, tables: dict, clean: dict) -> int:
+    """Printed tables must be byte-identical to the clean run's."""
+    if tables != clean:
         differing = sorted(
-            set(tables) ^ set(clean_tables)
-            | {name for name in tables
-               if clean_tables.get(name) != tables[name]}
+            name for name in set(tables) | set(clean)
+            if tables.get(name) != clean.get(name)
         )
-        print(f"FAIL: {label} tables differ from clean campaign: "
-              f"{differing}", file=sys.stderr)
+        print(f"FAIL: {label} tables differ from clean run: {differing}",
+              file=sys.stderr)
         return 1
-    print(f"  {label}: tables byte-identical to clean campaign")
+    print(f"  {label}: {len(tables)} table(s) byte-identical to clean run")
     return 0
 
 
-def _kill_after_first_table(label: str, cache_dir: str, jobs: int,
-                            faults: str):
-    """Start a campaign and SIGTERM it once entry 0's table lands.
+class _WatchedRun:
+    """A CLI subprocess whose merged output a reader thread collects.
 
-    ``faults`` should hold entry 1 open (``delay@campaign:1/...``) so
-    the signal deterministically interrupts a *running* campaign.
-    Returns ``(returncode, combined_output)``, or None (after a FAIL
-    line) when the campaign ended before the window opened.
+    ``port_seen`` is set on the telemetry announcement and
+    ``table_seen`` on the first table header; both are also set at EOF,
+    so a waiter never hangs on a child that died early.
     """
-    proc = subprocess.Popen(
-        _campaign_cmd(cache_dir, jobs),
-        env=_campaign_env(faults),
-        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-    )
-    first_table = Path(cache_dir) / "campaign" / "tables" / \
-        f"{CAMPAIGN_IDS[0]}.txt"
-    deadline = time.monotonic() + 300.0
-    while not first_table.exists():
-        if proc.poll() is not None or time.monotonic() > deadline:
-            out = proc.communicate()[0]
-            print(f"FAIL: {label} ended (rc={proc.returncode}) before "
-                  f"it could be killed\n{out}", file=sys.stderr)
-            return None
-        time.sleep(0.05)
-    proc.send_signal(signal.SIGTERM)
-    out = proc.communicate(timeout=120.0)[0]
-    return proc.returncode, out
+
+    def __init__(self, cmd, env) -> None:
+        self.proc = subprocess.Popen(
+            cmd, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT, text=True,
+        )
+        self.lines: list = []
+        self.port = None
+        self.port_seen = threading.Event()
+        self.table_seen = threading.Event()
+        self._reader = threading.Thread(target=self._read, daemon=True)
+        self._reader.start()
+
+    def _read(self) -> None:
+        for line in self.proc.stdout:
+            self.lines.append(line)
+            match = TELEMETRY_LINE.search(line)
+            if match and self.port is None:
+                self.port = int(match.group(1))
+                self.port_seen.set()
+            if HEADER_LINE.match(line.rstrip("\n")):
+                self.table_seen.set()
+        self.port_seen.set()
+        self.table_seen.set()
+
+    def finish(self, timeout: float) -> str:
+        """Wait for exit (killing it after ``timeout``); all output."""
+        try:
+            self.proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+        self._reader.join(timeout=10.0)
+        return "".join(self.lines)
 
 
-def _check_killed(label: str, rc: int, out: str, cache_dir: str) -> int:
-    """A killed campaign must exit resumable with a consistent journal."""
-    failures = 0
-    if rc != SHUTDOWN_EXIT_CODE:
-        print(f"FAIL: {label} exited {rc}, expected "
-              f"{SHUTDOWN_EXIT_CODE}\n{out}", file=sys.stderr)
-        failures += 1
-    statuses = _statuses(cache_dir)
-    if statuses.get(CAMPAIGN_IDS[0]) != "done" or any(
-        status == "running" for status in statuses.values()
-    ):
-        print(f"FAIL: journal inconsistent after {label}: {statuses}",
-              file=sys.stderr)
-        failures += 1
-    if not failures:
-        print(f"  exit {SHUTDOWN_EXIT_CODE}, journal consistent: "
-              f"{statuses}")
-    return failures
-
-
-def _check_resumed(label: str, cache_dir: str) -> int:
-    """After --resume, every journal entry must be done."""
-    statuses = _statuses(cache_dir)
-    if any(status != "done" for status in statuses.values()):
-        print(f"FAIL: {label} left unfinished entries: {statuses}",
-              file=sys.stderr)
-        return 1
-    return 0
+def _get(port: int, route: str, timeout: float = 5.0) -> bytes:
+    with urllib.request.urlopen(
+        f"http://127.0.0.1:{port}{route}", timeout=timeout
+    ) as response:
+        return response.read()
 
 
 # ----------------------------------------------------------------------
@@ -356,172 +345,56 @@ def _store_check(args) -> int:
     return 0
 
 
-def _campaign_check(args) -> int:
+def _interrupt_check(args) -> int:
     failures = 0
-    with tempfile.TemporaryDirectory(prefix="colt-campaign-") as tmp:
+    fig18_title = get_experiment(FIGURE).title
+    with tempfile.TemporaryDirectory(prefix="colt-interrupt-") as tmp:
         clean_dir = os.path.join(tmp, "clean")
-        kill_dir = os.path.join(tmp, "killed")
+        cache_dir = os.path.join(tmp, "served")
         stall_dir = os.path.join(tmp, "stall")
         dump_dir = os.path.join(stall_dir, "dumps")
 
-        print(f"clean campaign {' '.join(CAMPAIGN_IDS)} (jobs={args.jobs})")
-        if _checked_run("clean campaign", clean_dir, args.jobs) is None:
+        print(f"clean run {' '.join(INTERRUPT_IDS)} (jobs={args.jobs})")
+        clean = _checked_run("clean run", clean_dir, args.jobs)
+        if clean is None:
             return 1
-        clean_tables = _tables(clean_dir)
-        if sorted(clean_tables) != [f"{i}.txt" for i in sorted(CAMPAIGN_IDS)]:
-            print(f"FAIL: clean campaign table dumps incomplete: "
-                  f"{sorted(clean_tables)}", file=sys.stderr)
-            return 1
-        print(f"  {len(clean_tables)} table dumps journaled done")
-
-        # Kill phase: a parent-side hold on entry 1 opens a window in
-        # which the campaign is journaled *running*; SIGTERM there must
-        # wind down gracefully with the resumable status.
-        print("killed campaign (SIGTERM while entry 1 is running)")
-        killed = _kill_after_first_table(
-            "killed campaign", kill_dir, args.jobs,
-            f"delay@campaign:1/{HOLD_SECONDS:g}",
-        )
-        if killed is None:
-            return 1
-        failures += _check_killed("killed campaign", *killed, kill_dir)
-
-        print("resumed campaign (--resume over the killed journal)")
-        resumed = _checked_run(
-            "resume", kill_dir, args.jobs, extra=("--resume",)
-        )
-        if resumed is None:
-            failures += 1
-        failures += _check_resumed("resume", kill_dir)
-        failures += _compare_tables("resume", kill_dir, clean_tables)
-
-        print(f"stalled campaign (capture sleeps "
-              f"{STALL_DELAY_SECONDS:g}s, watchdog at "
-              f"{STALL_TIMEOUT_SECONDS:g}s)")
-        stalled = _checked_run(
-            "stalled campaign", stall_dir, args.jobs,
-            faults=f"delay@capture:0/{STALL_DELAY_SECONDS:g}",
-            ids=(CAMPAIGN_IDS[0],),
-            extra=("--stall-timeout", f"{STALL_TIMEOUT_SECONDS:g}"),
-        )
-        if stalled is None:
-            failures += 1
-        dumps = sorted(Path(dump_dir).glob("stall-*.txt"))
-        if not dumps:
-            print("FAIL: stall watchdog left no stack-dump artifact "
-                  f"under {dump_dir}", file=sys.stderr)
-            failures += 1
-        stall_key = f"{CAMPAIGN_IDS[0]}.txt"
-        if _tables(stall_dir).get(stall_key) != clean_tables[stall_key]:
-            print("FAIL: stalled campaign table differs from clean run",
+        clean_tables = _printed_tables(clean.stdout)
+        if len(clean_tables) != len(INTERRUPT_IDS):
+            print(f"FAIL: clean run printed {sorted(clean_tables)}",
                   file=sys.stderr)
-            failures += 1
-        if dumps and not failures:
-            print(f"  recovered bit-identically; {len(dumps)} stall "
-                  f"dump(s), e.g. {dumps[0].name}")
-
-    if failures:
-        print(f"campaign check FAILED ({failures} divergence(s))",
-              file=sys.stderr)
-        return 1
-    print("campaign check passed: kill/resume/stall all converged "
-          "on the clean tables")
-    return 0
-
-
-#: The always-printed line that announces the bound telemetry port
-#: (the only way to learn it when ``--telemetry-port 0`` is used).
-TELEMETRY_LINE = re.compile(r"telemetry: http://127\.0\.0\.1:(\d+)/")
-
-
-def _history_records(cache_dir: str) -> list:
-    path = Path(cache_dir) / "history" / "history.jsonl"
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            continue
-    return records
-
-
-def _get(port: int, route: str, timeout: float = 5.0) -> bytes:
-    with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{route}", timeout=timeout
-    ) as response:
-        return response.read()
-
-
-def _telemetry_check(args) -> int:
-    failures = 0
-    with tempfile.TemporaryDirectory(prefix="colt-telemetry-") as tmp:
-        cache_dir = os.path.join(tmp, "cache")
-
-        # Kill phase: serve telemetry while entry 1 is held open, probe
-        # all three endpoints live, then SIGTERM. The server must come
-        # down with the process (exit 75, port released) and the killed
-        # run must still leave a non-ok history record. (This phase
-        # sniffs the subprocess's stdout for the bound port, so it
-        # drives its own Popen instead of _kill_after_first_table.)
-        print("telemetry campaign (SIGTERM while serving --telemetry-port 0)")
-        proc = subprocess.Popen(
-            _campaign_cmd(
-                cache_dir, args.jobs, extra=("--telemetry-port", "0")
-            ),
-            env=_campaign_env(f"delay@campaign:1/{HOLD_SECONDS:g}"),
-            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        )
-        lines: list = []
-        port_found = threading.Event()
-        port_box: list = []
-
-        def _read_stdout() -> None:
-            for line in proc.stdout:
-                lines.append(line)
-                match = TELEMETRY_LINE.search(line)
-                if match and not port_box:
-                    port_box.append(int(match.group(1)))
-                    port_found.set()
-            port_found.set()  # EOF: stop waiters even without a match
-
-        reader = threading.Thread(target=_read_stdout, daemon=True)
-        reader.start()
-        port_found.wait(60.0)
-        if not port_box:
-            proc.terminate()
-            proc.wait(timeout=60.0)
-            reader.join(timeout=10.0)
-            print("FAIL: campaign never announced its telemetry port\n"
-                  + "".join(lines), file=sys.stderr)
             return 1
-        port = port_box[0]
 
-        first_table = Path(cache_dir) / "campaign" / "tables" / \
-            f"{CAMPAIGN_IDS[0]}.txt"
-        deadline = time.monotonic() + 300.0
-        while not first_table.exists():
-            if proc.poll() is not None or time.monotonic() > deadline:
-                reader.join(timeout=10.0)
-                print(f"FAIL: campaign ended (rc={proc.returncode}) "
-                      f"before it could be probed\n{''.join(lines)}",
-                      file=sys.stderr)
-                return 1
-            time.sleep(0.05)
-
+        # Served phase: hold experiment 1 open, probe all three
+        # endpoints live once fig18's table is out, then SIGTERM. The
+        # server must come down with the process (exit 75, port
+        # released) and the run must still leave a non-ok record.
+        print("served run (SIGTERM between experiments, "
+              "--telemetry-port 0)")
+        run = _WatchedRun(
+            _run_cmd(cache_dir, args.jobs, extra=("--telemetry-port", "0")),
+            _run_env(f"delay@experiment:1/{HOLD_SECONDS:g}"),
+        )
+        run.port_seen.wait(60.0)
+        run.table_seen.wait(300.0)
+        if run.port is None or run.proc.poll() is not None:
+            out = run.finish(60.0)
+            print(f"FAIL: served run ended (rc={run.proc.returncode}) or "
+                  f"never announced its port before it could be "
+                  f"probed\n{out}", file=sys.stderr)
+            return 1
+        port = run.port
         try:
             if _get(port, "/healthz").strip() != b"ok":
                 print("FAIL: /healthz did not answer ok", file=sys.stderr)
                 failures += 1
             progress = json.loads(_get(port, "/progress"))
-            if "phase" not in progress or "campaign" not in progress:
+            if "phase" not in progress or "experiments" not in progress:
                 print(f"FAIL: /progress incomplete while running: "
                       f"{sorted(progress)}", file=sys.stderr)
                 failures += 1
             metrics = _get(port, "/metrics").decode("utf-8")
-            if "colt_campaign_experiments" not in metrics:
-                print("FAIL: live /metrics lacks campaign counters",
+            if "colt_store_misses" not in metrics:
+                print("FAIL: live /metrics lacks store counters",
                       file=sys.stderr)
                 failures += 1
         except (urllib.error.URLError, OSError) as exc:
@@ -530,23 +403,13 @@ def _telemetry_check(args) -> int:
             failures += 1
         if not failures:
             print(f"  live probes ok on port {port} "
-                  f"(phase={progress.get('phase')!r})")
+                  f"(experiments={progress['experiments']})")
 
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=120.0)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            print("FAIL: campaign did not exit within 120s of SIGTERM "
-                  "(telemetry thread wedged the shutdown?)",
-                  file=sys.stderr)
-            failures += 1
-        reader.join(timeout=10.0)
-        if proc.returncode != SHUTDOWN_EXIT_CODE:
-            print(f"FAIL: killed campaign exited {proc.returncode}, "
-                  f"expected {SHUTDOWN_EXIT_CODE}\n{''.join(lines)}",
-                  file=sys.stderr)
+        run.proc.send_signal(signal.SIGTERM)
+        out = run.finish(120.0)
+        if run.proc.returncode != SHUTDOWN_EXIT_CODE:
+            print(f"FAIL: served run exited {run.proc.returncode}, "
+                  f"expected {SHUTDOWN_EXIT_CODE}\n{out}", file=sys.stderr)
             failures += 1
         try:
             _get(port, "/healthz", timeout=2.0)
@@ -555,53 +418,73 @@ def _telemetry_check(args) -> int:
             failures += 1
         except (urllib.error.URLError, OSError):
             pass  # refused/reset: the server came down with the process
-
-        records = _history_records(cache_dir)
-        if not records:
-            print("FAIL: killed run appended no history record",
-                  file=sys.stderr)
+        records = load_history(history_path(cache_dir))
+        if not records or records[-1].get("status") == "ok" or \
+                not records[-1].get("telemetry"):
+            print(f"FAIL: interrupted run's newest history record is "
+                  f"{records[-1] if records else None!r}; expected a "
+                  "non-ok telemetry record", file=sys.stderr)
             failures += 1
         else:
-            last = records[-1]
-            if last.get("status") == "ok" or not last.get("telemetry"):
-                print(f"FAIL: killed run's history record is "
-                      f"status={last.get('status')!r} "
-                      f"telemetry={last.get('telemetry')!r}; expected a "
-                      "non-ok telemetry record", file=sys.stderr)
-                failures += 1
-            else:
-                print(f"  exit {SHUTDOWN_EXIT_CODE}, port released, "
-                      f"history recorded status={last['status']!r}")
+            print(f"  exit {SHUTDOWN_EXIT_CODE}, port released, history "
+                  f"recorded status={records[-1]['status']!r}")
 
-        print("resumed campaign (--resume, telemetry served again)")
-        resumed = _checked_run(
-            "resume", cache_dir, args.jobs,
-            extra=("--resume", "--telemetry-port", "0"),
+        # Rerun phase: the same command over the same store is the
+        # resume. Everything the interrupted run finished (all of
+        # fig18) must come back as store hits.
+        checkpointed = len(list(Path(cache_dir).glob("*.pkl")))
+        print(f"rerun (same command, {checkpointed} checkpointed results)")
+        rerun = _checked_run("rerun", cache_dir, args.jobs)
+        if rerun is None:
+            return 1
+        failures += _same_tables(
+            "rerun", _printed_tables(rerun.stdout), clean_tables
         )
-        if resumed is None:
-            failures += 1
-        failures += _check_resumed("resume", cache_dir)
-        history = _history_records(cache_dir)
-        if len(history) != len(records) + 1 or \
-                history[-1].get("status") != "ok":
-            print(f"FAIL: resume did not append an ok record "
+        history = load_history(history_path(cache_dir))
+        newest = history[-1] if history else {}
+        hits = newest.get("store", {}).get("hits")
+        if len(history) != len(records) + 1 or newest.get("status") != "ok":
+            print(f"FAIL: rerun did not append an ok record "
                   f"({len(records)} -> {len(history)} records, newest "
-                  f"{history[-1].get('status')!r})"
-                  if history else "FAIL: resume left no history",
-                  file=sys.stderr)
+                  f"{newest.get('status')!r})", file=sys.stderr)
             failures += 1
-        elif not failures:
-            print(f"  journal all done; history now {len(history)} "
-                  "record(s), newest status='ok'")
+        elif not checkpointed or hits != checkpointed:
+            print(f"FAIL: rerun reused {hits} of {checkpointed} "
+                  "checkpointed results", file=sys.stderr)
+            failures += 1
+        else:
+            print(f"  all {checkpointed} fig18 results were store hits; "
+                  "newest history status='ok'")
+
+        print(f"stalled run (capture sleeps {STALL_DELAY_SECONDS:g}s, "
+              f"watchdog at {STALL_TIMEOUT_SECONDS:g}s)")
+        stalled = _checked_run(
+            "stalled run", stall_dir, args.jobs,
+            faults=f"delay@capture:0/{STALL_DELAY_SECONDS:g}",
+            ids=(FIGURE,),
+            extra=("--stall-timeout", f"{STALL_TIMEOUT_SECONDS:g}"),
+        )
+        if stalled is None:
+            return 1
+        dumps = sorted(Path(dump_dir).glob("stall-*.txt"))
+        if not dumps:
+            print("FAIL: stall watchdog left no stack-dump artifact "
+                  f"under {dump_dir}", file=sys.stderr)
+            failures += 1
+        failures += _same_tables(
+            "stalled run", _printed_tables(stalled.stdout),
+            {fig18_title: clean_tables.get(fig18_title)},
+        )
+        if dumps:
+            print(f"  {len(dumps)} stall dump(s), e.g. {dumps[0].name}")
 
     if failures:
-        print(f"telemetry check FAILED ({failures} divergence(s))",
+        print(f"interrupt check FAILED ({failures} divergence(s))",
               file=sys.stderr)
         return 1
-    print("telemetry check passed: clean SIGTERM shutdown, history "
-          "records for killed and resumed runs")
+    print("interrupt check passed: SIGTERM exits resumable, the rerun "
+          "and the stalled run converge on the clean tables")
     return 0
-
 
 #: Mode registry: name -> (check function, one-line description).
 MODES = {
@@ -610,15 +493,10 @@ MODES = {
         "in-process fault plan vs clean run, plus corrupted-store "
         "resume (default)",
     ),
-    "campaign": (
-        _campaign_check,
-        "campaign journal: clean, SIGTERM kill, --resume, "
-        "stall-watchdog dump",
-    ),
-    "telemetry": (
-        _telemetry_check,
-        "telemetry plane: live probes, clean SIGTERM shutdown, "
-        "history records",
+    "interrupt": (
+        _interrupt_check,
+        "served run SIGTERMed between experiments, rerun to identical "
+        "tables, stall-watchdog dump",
     ),
 }
 

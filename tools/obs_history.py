@@ -14,7 +14,7 @@ Diff two runs (by history index; negative = from the end)::
 
     python tools/obs_history.py --cache-dir .colt-cache --diff -2 -1
 
-Regression gate -- what CI runs after the telemetry campaign::
+Regression gate -- what CI runs after the served fig18 run::
 
     python tools/obs_history.py --cache-dir .colt-cache --gate \\
         --baseline tools/history_baseline.json
