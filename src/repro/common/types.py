@@ -44,8 +44,12 @@ class PageAttributes(enum.IntFlag):
 
     @classmethod
     def default_user(cls) -> "PageAttributes":
-        """Attributes of a freshly-faulted anonymous user page."""
-        return cls.PRESENT | cls.WRITABLE | cls.USER | cls.NO_EXECUTE
+        """Attributes of a freshly-faulted anonymous user page.
+
+        One shared value: IntFlag members are immutable, and callers
+        that add bits (``leaf.attributes |= ...``) rebind, not mutate.
+        """
+        return _DEFAULT_USER
 
     def coalescing_key(self) -> int:
         """Bits that must match for two translations to coalesce.
@@ -56,6 +60,14 @@ class PageAttributes(enum.IntFlag):
         """
         mask = ~(PageAttributes.ACCESSED | PageAttributes.DIRTY)
         return int(self) & int(mask)
+
+
+_DEFAULT_USER = (
+    PageAttributes.PRESENT
+    | PageAttributes.WRITABLE
+    | PageAttributes.USER
+    | PageAttributes.NO_EXECUTE
+)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.common.statistics import CounterSet
 from repro.obs.registry import bind_counterset, get_registry
 from repro.obs.trace import current_tracer, obs_active
@@ -95,18 +97,20 @@ class CompactionDaemon:
         self.counters.increment("runs")
         migrated = 0
         check_interval = 32
-        movable = list(self._physical.movable_frames_ascending())
-        if not movable:
+        # Both scanners are snapshot arrays; frames become Python ints
+        # only as the loop visits them, which budgeted runs keep short.
+        movable = self._physical.movable_frames_ascending()
+        if movable.size == 0:
             return 0
-        # Resume after the cursor, wrapping once past the end.
-        split = 0
-        while split < len(movable) and movable[split] < self._migrate_cursor:
-            split += 1
-        movable_iter = iter(movable[split:] + movable[:split])
-        free_candidates = list(self._physical.free_frames_descending())
+        # Resume at the first movable frame at or above the cursor,
+        # wrapping once past the end.
+        split = int(np.searchsorted(movable, self._migrate_cursor))
+        sources = np.concatenate((movable[split:], movable[:split]))
+        free_candidates = self._physical.free_frames_descending()
+        free_total = free_candidates.size
         free_index = 0
 
-        for source in movable_iter:
+        for source in map(int, sources):
             self._migrate_cursor = source + 1
             if max_migrations is not None and migrated >= max_migrations:
                 self.counters.increment("aborted_runs")
@@ -119,14 +123,13 @@ class CompactionDaemon:
                 break
             # Advance the free scanner past frames we already consumed or
             # that fell below the migrate scanner.
-            while (
-                free_index < len(free_candidates)
-                and not self._physical.is_free(free_candidates[free_index])
+            while free_index < free_total and not self._physical.is_free(
+                int(free_candidates[free_index])
             ):
                 free_index += 1
-            if free_index >= len(free_candidates):
+            if free_index >= free_total:
                 break
-            target = free_candidates[free_index]
+            target = int(free_candidates[free_index])
             if target <= source:
                 # Scanners met: everything below is as compact as it gets.
                 break

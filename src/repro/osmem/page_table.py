@@ -11,6 +11,12 @@ fetches PTEs by *physical address* in 64-byte cache lines: the eight PTEs
 sharing a line are the only translations CoLT may coalesce without extra
 memory references (paper Section 4.1.4), and which PTEs share a line is
 determined by their placement inside the table node.
+
+Every write also bumps a version number per PTE cache line (keyed by
+``vpn >> 3``). A reader that caches something derived from a line --
+the capture recorder memoises each VPN's walk outcome -- compares the
+line's version to detect staleness. TLB shootdowns alone would not do:
+mapping a neighbour page changes the line without invalidating anything.
 """
 
 from __future__ import annotations
@@ -38,6 +44,12 @@ SUPERPAGE_LEVEL = 2
 
 #: Leaf level for 4KB pages (the PT).
 LEAF_LEVEL = 3
+
+#: ``vpn >> LINE_SHIFT`` names the PTE cache line holding ``vpn``'s PTE.
+LINE_SHIFT = PTES_PER_CACHE_LINE.bit_length() - 1
+
+#: PTE cache lines spanned by one 2MB superpage.
+SUPERPAGE_LINES = SUPERPAGE_PAGES // PTES_PER_CACHE_LINE
 
 
 def level_index(vpn: int, level: int) -> int:
@@ -117,6 +129,7 @@ class PageTable:
         self._root = _Node(self._allocate_frame())
         self._mapped_pages = 0
         self._mapped_superpages = 0
+        self._line_versions: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Mapping installation / removal.
@@ -145,6 +158,7 @@ class PageTable:
             raise TranslationError(f"vpn {vpn} already mapped")
         node.leaves[index] = _LeafEntry(pfn, attributes, is_superpage=False)
         self._mapped_pages += 1
+        self._bump_line(vpn)
 
     def map_superpage(
         self,
@@ -170,6 +184,7 @@ class PageTable:
             )
         node.leaves[index] = _LeafEntry(pfn, attributes, is_superpage=True)
         self._mapped_superpages += 1
+        self._bump_superpage_lines(vpn)
 
     def unmap_page(self, vpn: int) -> Translation:
         """Remove a 4KB mapping; returns the removed translation."""
@@ -183,6 +198,7 @@ class PageTable:
         if leaf is None or leaf.is_superpage:
             raise TranslationError(f"vpn {vpn} has no 4KB mapping")
         self._mapped_pages -= 1
+        self._bump_line(vpn)
         self._prune(vpn, path)
         return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=False)
 
@@ -198,6 +214,7 @@ class PageTable:
         if leaf is None or not leaf.is_superpage:
             raise TranslationError(f"vpn {vpn} has no superpage mapping")
         self._mapped_superpages -= 1
+        self._bump_superpage_lines(vpn)
         self._prune(vpn, path)
         return Translation(vpn, leaf.pfn, leaf.attributes, is_superpage=True)
 
@@ -267,21 +284,52 @@ class PageTable:
         if leaf is None:
             raise TranslationError(f"vpn {vpn} not mapped")
         leaf.attributes = attributes
+        self._bump_line(vpn)
 
     def mark_accessed(self, vpn: int, dirty: bool = False) -> None:
         """Set the ACCESSED (and optionally DIRTY) bit, as a walk would."""
         node = self._descend_to_pt(vpn, create=False)
         leaf = node.leaves.get(level_index(vpn, LEAF_LEVEL)) if node else None
-        if leaf is None:
+        if leaf is not None:
+            self._bump_line(vpn)
+        else:
             base = self.superpage_base(vpn)
             if base is None:
                 raise TranslationError(f"vpn {vpn} not mapped")
             # Superpages keep a single A/D pair on the PDE.
             pd = self._path_nodes(base.vpn, SUPERPAGE_LEVEL)[-1]
             leaf = pd.leaves[level_index(base.vpn, SUPERPAGE_LEVEL)]
+            self._bump_superpage_lines(base.vpn)
         leaf.attributes |= PageAttributes.ACCESSED
         if dirty:
             leaf.attributes |= PageAttributes.DIRTY
+
+    # ------------------------------------------------------------------
+    # PTE cache-line versions.
+    # ------------------------------------------------------------------
+
+    def line_version(self, vpn: int) -> int:
+        """Current version of the PTE cache line holding ``vpn``.
+
+        Every write that can change what :meth:`lookup`,
+        :meth:`walk_path_addresses` or :meth:`pte_cache_line` return for
+        a mapped VPN bumps that VPN's line; reads bump nothing. While
+        ``vpn`` stays mapped its walk path cannot change either: the
+        table nodes on it are non-empty, so none is freed and replaced.
+        """
+        return self._line_versions.get(vpn >> LINE_SHIFT, 0)
+
+    def _bump_line(self, vpn: int) -> None:
+        line = vpn >> LINE_SHIFT
+        versions = self._line_versions
+        versions[line] = versions.get(line, 0) + 1
+
+    def _bump_superpage_lines(self, base_vpn: int) -> None:
+        """Bump every line of the 2MB chunk starting at ``base_vpn``."""
+        versions = self._line_versions
+        first = base_vpn >> LINE_SHIFT
+        for line in range(first, first + SUPERPAGE_LINES):
+            versions[line] = versions.get(line, 0) + 1
 
     # ------------------------------------------------------------------
     # Walker support.

@@ -172,19 +172,19 @@ class PhysicalMemory:
     # Scans used by the compaction daemon and fragmentation metrics.
     # ------------------------------------------------------------------
 
-    def movable_frames_ascending(self) -> Iterator[int]:
+    def movable_frames_ascending(self) -> np.ndarray:
         """Movable allocated frames from the bottom of memory upwards.
 
-        This is the compaction daemon's migrate scanner (Figure 3, left)."""
-        movable = np.flatnonzero(self._allocated & self._movable)
-        return iter(int(p) for p in movable)
+        This is the compaction daemon's migrate scanner (Figure 3, left).
+        A snapshot array: later state changes do not show in it."""
+        return np.flatnonzero(self._allocated & self._movable)
 
-    def free_frames_descending(self) -> Iterator[int]:
+    def free_frames_descending(self) -> np.ndarray:
         """Free frames from the top of memory downwards.
 
-        This is the compaction daemon's free scanner (Figure 3, middle)."""
-        free = np.flatnonzero(~self._allocated)
-        return iter(int(p) for p in free[::-1])
+        This is the compaction daemon's free scanner (Figure 3, middle).
+        A snapshot array: later state changes do not show in it."""
+        return np.flatnonzero(~self._allocated)[::-1]
 
     def free_runs(self) -> List[FrameRange]:
         """Maximal runs of free frames, ascending by start."""

@@ -5,11 +5,11 @@ traces are collected once per system configuration and then replayed
 through the functional TLB simulator under every design. This module is
 the capture half. ``ScenarioEngine`` owns the OS+workload interleaving
 -- kernel boot, aging, memhog, demand faulting, background churn,
-compaction ticks -- and drives it access by access. It is shared by the
-legacy monolithic :class:`repro.sim.system.SystemSimulator` (which
-attaches a live MMU) and by :func:`capture_scenario` (which attaches a
-recorder instead), so the OS evolution of both paths is identical *by
-construction*, not by convention.
+compaction ticks -- and drives it access by access. It is shared by
+:class:`repro.sim.system.SystemSimulator`, the ``simulate()`` oracle
+(which attaches a live MMU), and by :func:`capture_scenario` (which
+attaches a recorder instead), so the OS evolution of both paths is
+identical *by construction*, not by convention.
 
 ``capture_scenario`` produces a :class:`CapturedScenario`: a compact
 numpy translation log with, per access, the VPN and its full walk
@@ -18,23 +18,33 @@ outcome (PFN, attribute bits, page size, walk-path addresses and the
 tagged with the access index they precede, the final kernel counters
 and contiguity report. Everything a :class:`CoLTDesign` MMU consumes
 is in the log; nothing TLB-design-dependent is. Replaying it through
-``repro.sim.replay`` is bit-identical to the monolithic run -- enforced
+``repro.sim.replay`` is bit-identical to the oracle run -- enforced
 by ``repro.analysis.determinism --replay`` and the tier-1 tests.
 
-Per-access records are deduplicated (``np.unique`` over rows): a VPN's
-walk outcome only changes across shootdown events, so the unique-row
-table stays small and a captured QUICK-scale scenario is a few MB,
-cheap enough to ship to ``ProcessPoolExecutor`` workers.
+Each walk outcome is computed once per change of the page table. The
+recorder memoises ``vpn -> (line version, row id)``, where the version
+is the one :class:`~repro.osmem.page_table.PageTable` bumps on every
+write to the VPN's PTE cache line (a neighbour's mapping changes the
+line window without any shootdown). Most accesses are memo hits that
+just append a row id. Dedup then sorts the few thousand memo rows
+(``np.unique``), so a captured QUICK-scale scenario is a few MB, cheap
+enough to ship to ``ProcessPoolExecutor`` workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.common.errors import OutOfMemoryError, TranslationError
+from repro.analysis.sanitizers import resolve_sanitize
+from repro.common.constants import PTES_PER_CACHE_LINE
+from repro.common.errors import (
+    OutOfMemoryError,
+    SanitizerError,
+    TranslationError,
+)
 from repro.common.rng import SeedSequencer
 from repro.common.statistics import CounterSnapshot
 from repro.contiguity.scanner import ContiguityReport
@@ -291,12 +301,23 @@ class CapturedScenario:
 
 
 class _CaptureRecorder:
-    """Records per-access walk outcomes and shootdown events."""
+    """Records per-access walk outcomes and shootdown events.
 
-    def __init__(self, engine: ScenarioEngine, accesses: int) -> None:
+    Walk outcomes are memoised per VPN together with the version of the
+    VPN's PTE cache line (:meth:`PageTable.line_version`). A hit appends
+    the memoised row id; only a miss walks the page table and builds a
+    new row. With ``sanitize`` on, every hit is recomputed and checked.
+    """
+
+    def __init__(self, engine: ScenarioEngine) -> None:
         self._page_table = engine.process.page_table
         self._bench_pid = engine.process.pid
-        self.records = np.zeros((accesses, RECORD_COLUMNS), dtype=np.int64)
+        self._sanitize = resolve_sanitize(engine.config.sanitize)
+        #: Walk-outcome rows, one per memo miss (duplicates possible).
+        self.rows: List[List[int]] = []
+        #: Per-access index into ``rows``.
+        self.row_ids: List[int] = []
+        self._memo: Dict[int, Tuple[int, int]] = {}
         self.events: List = []
         #: Number of accesses recorded so far == the index the next
         #: shootdown precedes: events during access i's demand fault
@@ -310,28 +331,60 @@ class _CaptureRecorder:
             self.events.append((self.position, start_vpn, count))
 
     def on_access(self, index: int, vpn: int) -> None:
-        translation = self._page_table.lookup(vpn)
+        version = self._page_table.line_version(vpn)
+        memo = self._memo.get(vpn)
+        if memo is not None and memo[0] == version:
+            row_id = memo[1]
+            if self._sanitize and self._build_row(vpn) != self.rows[row_id]:
+                raise SanitizerError(
+                    f"capture memo: stale walk record for vpn {vpn} at "
+                    f"access {index} (line version {version})"
+                )
+        else:
+            row_id = len(self.rows)
+            self.rows.append(self._build_row(vpn))
+            self._memo[vpn] = (version, row_id)
+        self.row_ids.append(row_id)
+        self.position = index + 1
+
+    def _build_row(self, vpn: int) -> List[int]:
+        """``vpn``'s walk outcome laid out as ``RECORD_COLUMNS`` ints."""
+        page_table = self._page_table
+        translation = page_table.lookup(vpn)
         if translation is None:  # pragma: no cover - faulted in by engine
             raise TranslationError(f"capture of unmapped vpn {vpn}")
-        row = self.records[index]
-        row[0] = translation.pfn
-        row[1] = int(translation.attributes)
-        row[2] = 1 if translation.is_superpage else 0
-        path = self._page_table.walk_path_addresses(vpn)
-        row[3] = len(path)
-        row[_PATH_BASE:_PATH_BASE + len(path)] = path
-        row[_PATH_BASE + len(path):_MASK_COLUMN] = -1
+        path = page_table.walk_path_addresses(vpn)
+        row = [
+            translation.pfn,
+            int(translation.attributes),
+            1 if translation.is_superpage else 0,
+            len(path),
+            *path,
+        ]
+        row += [-1] * (_MASK_COLUMN - len(row))
+        mask = 0
+        pfns = [0] * PTES_PER_CACHE_LINE
+        attrs = [0] * PTES_PER_CACHE_LINE
         if not translation.is_superpage:
-            mask = 0
-            for offset, neighbour in enumerate(
-                self._page_table.pte_cache_line(vpn)
-            ):
+            for offset, neighbour in enumerate(page_table.pte_cache_line(vpn)):
                 if neighbour is not None:
                     mask |= 1 << offset
-                    row[_LINE_PFN_BASE + offset] = neighbour.pfn
-                    row[_LINE_ATTR_BASE + offset] = int(neighbour.attributes)
-            row[_MASK_COLUMN] = mask
-        self.position = index + 1
+                    pfns[offset] = neighbour.pfn
+                    attrs[offset] = int(neighbour.attributes)
+        row.append(mask)
+        return row + pfns + attrs
+
+    def deduplicate(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(records, record_index)``: sorted unique rows, per-access ids.
+
+        ``np.unique`` runs over the memo rows only. Every row is used by
+        at least one access, so the result equals ``np.unique`` over the
+        full per-access table.
+        """
+        rows = np.array(self.rows, dtype=np.int64).reshape(-1, RECORD_COLUMNS)
+        records, inverse = np.unique(rows, axis=0, return_inverse=True)
+        row_ids = np.asarray(self.row_ids, dtype=np.int64)
+        return records, inverse.ravel().astype(np.int64)[row_ids]
 
 
 def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
@@ -351,13 +404,15 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
     ):
         engine = ScenarioEngine(config)
         engine.prepare()
-        recorder = _CaptureRecorder(engine, len(engine.trace.vpns))
+        recorder = _CaptureRecorder(engine)
         engine.run_loop(recorder.on_access)
         engine.sanity_check()
-        with span("capture.dedup", rows=len(recorder.records)):
-            records, record_index = np.unique(
-                recorder.records, axis=0, return_inverse=True
-            )
+        with span(
+            "capture.dedup",
+            rows=len(recorder.rows),
+            accesses=len(recorder.row_ids),
+        ):
+            records, record_index = recorder.deduplicate()
         if recorder.events:
             event_array = np.asarray(recorder.events, dtype=np.int64)
         else:
@@ -367,7 +422,7 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
             profile=engine.profile,
             vpns=np.asarray(engine.trace.vpns, dtype=np.int64).copy(),
             records=records,
-            record_index=np.asarray(record_index, dtype=np.int64).ravel(),
+            record_index=record_index,
             inval_before=event_array[:, 0].copy(),
             inval_start=event_array[:, 1].copy(),
             inval_count=event_array[:, 2].copy(),

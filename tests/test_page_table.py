@@ -229,3 +229,95 @@ class TestIterationAndPruning:
         table.map_page(101, 2)
         table.unmap_page(100)
         assert table.lookup(101).pfn == 2
+
+
+class TestLineVersions:
+    """Every write bumps the PTE cache line(s) it can change; reads don't."""
+
+    def _chunk_versions(self, table, base):
+        return [
+            table.line_version(base + line * PTES_PER_CACHE_LINE)
+            for line in range(SUPERPAGE_PAGES // PTES_PER_CACHE_LINE)
+        ]
+
+    def test_unwritten_line_is_version_zero(self):
+        assert PageTable().line_version(12345) == 0
+
+    def test_mapping_a_neighbour_bumps_the_line(self):
+        # No shootdown covers vpn 40, yet its line window changed.
+        table = PageTable()
+        table.map_page(40, 7)
+        before = table.line_version(40)
+        table.map_page(41, 8)
+        assert table.line_version(40) > before
+
+    def test_versions_are_per_line(self):
+        table = PageTable()
+        table.map_page(40, 7)
+        before = table.line_version(40)
+        table.map_page(40 + PTES_PER_CACHE_LINE, 8)
+        table.map_page(40 - PTES_PER_CACHE_LINE, 9)
+        assert table.line_version(40) == before
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda table: table.unmap_page(41),
+            lambda table: table.set_attributes(41, PageAttributes.PRESENT),
+            lambda table: table.mark_accessed(41),
+            lambda table: table.mark_accessed(47, dirty=True),
+        ],
+        ids=["unmap_page", "set_attributes", "mark_accessed", "dirty"],
+    )
+    def test_base_page_writes_bump_the_line(self, write):
+        table = PageTable()
+        table.map_page(41, 7)
+        table.map_page(47, 8)
+        before = table.line_version(40)
+        write(table)
+        assert table.line_version(40) > before
+
+    def test_superpage_map_and_unmap_bump_the_whole_chunk(self):
+        table = PageTable()
+        table.map_superpage(512, 1024)
+        mapped = self._chunk_versions(table, 512)
+        assert all(version > 0 for version in mapped)
+        table.unmap_superpage(512)
+        unmapped = self._chunk_versions(table, 512)
+        assert all(a > b for a, b in zip(unmapped, mapped))
+        # Neighbouring chunks are untouched.
+        assert table.line_version(511) == 0
+        assert table.line_version(1024) == 0
+
+    def test_split_bumps_the_whole_chunk(self):
+        table = PageTable()
+        table.map_superpage(512, 1024)
+        before = self._chunk_versions(table, 512)
+        table.split_superpage(512)
+        after = self._chunk_versions(table, 512)
+        assert all(a > b for a, b in zip(after, before))
+
+    def test_mark_accessed_on_superpage_bumps_the_whole_chunk(self):
+        # The A bit lives on the PDE, which every page of the chunk reads.
+        table = PageTable()
+        table.map_superpage(512, 1024, PageAttributes.PRESENT)
+        before = self._chunk_versions(table, 512)
+        table.mark_accessed(512 + 300)
+        after = self._chunk_versions(table, 512)
+        assert all(a > b for a, b in zip(after, before))
+
+    def test_reads_bump_nothing(self):
+        table = PageTable()
+        table.map_page(40, 7)
+        table.map_page(41, 8)
+        table.map_superpage(512, 1024)
+        probes = (40, 41, 45, 512, 700)
+        before = [table.line_version(vpn) for vpn in probes]
+        for vpn in probes:
+            table.lookup(vpn)
+            table.walk_path_addresses(vpn)
+            table.pte_cache_line(vpn)
+            table.superpage_base(vpn)
+            table.is_mapped(vpn)
+        list(table.iter_mappings())
+        assert [table.line_version(vpn) for vpn in probes] == before
