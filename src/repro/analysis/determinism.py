@@ -29,7 +29,12 @@ from typing import List, Optional, Sequence
 from repro.common.errors import DeterminismError
 from repro.core.mmu import CoLTDesign
 from repro.sim.replay import replay_scenario
-from repro.sim.scenario import capture_scenario
+from repro.sim.scenario import (
+    aged_key,
+    build_aged_snapshot,
+    capture_scenario,
+    restoring,
+)
 from repro.sim.system import (
     SimulationConfig,
     SimulationResult,
@@ -215,10 +220,14 @@ def check_replay_equivalence(
     per-access translations, same shootdown ordering, same walk
     latencies. This check runs both paths for every design and compares
     full result digests (all MMU/kernel counters, miss counts, cycle
-    totals, contiguity). Returns ``{design.value: digest}``; raises
+    totals, contiguity). The capture restores an aged-kernel snapshot,
+    as the runner's captures do, while the monolithic runs boot and
+    age in place. Returns ``{design.value: digest}``; raises
     :class:`DeterminismError` on the first divergence.
     """
-    scenario = capture_scenario(config)
+    key = aged_key(config)
+    with restoring(key, build_aged_snapshot(key)):
+        scenario = capture_scenario(config)
     digests = {}
     for design in designs:
         design_config = config.with_updates(design=design)

@@ -147,16 +147,25 @@ METRICS: Tuple[MetricDecl, ...] = (
         "kernel allocation/THP counters; metrics.json only",
     ),
     MetricDecl(
-        "colt_compaction", "counterset-prefix", "repro/osmem/compaction.py",
+        "colt_compaction", "counterset-prefix", "repro/obs/hooks.py",
         False, "compaction migrations/runs; metrics.json only",
     ),
     MetricDecl(
-        "colt_thp", "counterset-prefix", "repro/osmem/thp.py", False,
+        "colt_thp", "counterset-prefix", "repro/obs/hooks.py", False,
         "THP promotions/collapses; metrics.json only",
     ),
     MetricDecl(
-        "colt_buddy", "counterset-prefix", "repro/osmem/buddy.py", False,
+        "colt_buddy", "counterset-prefix", "repro/obs/hooks.py", False,
         "buddy allocator splits/merges; metrics.json only",
+    ),
+    MetricDecl(
+        "colt_aged_builds", "counter", "repro/sim/scenario.py", True,
+        "kernels booted and aged (in place, or once per aged-kernel "
+        "snapshot)",
+    ),
+    MetricDecl(
+        "colt_aged_restores", "counter", "repro/sim/scenario.py", True,
+        "captures that restored an aged-kernel snapshot instead of aging",
     ),
     MetricDecl(
         "colt_mmu", "counterset-prefix", "repro/core/mmu.py", False,
@@ -168,9 +177,11 @@ METRICS: Tuple[MetricDecl, ...] = (
 
 SPANS: Tuple[SpanDecl, ...] = (
     SpanDecl("kernel.boot", "span", "repro/sim/scenario.py",
-             "kernel construction for one scenario"),
+             "kernel construction for one aged machine"),
     SpanDecl("aging", "span", "repro/sim/scenario.py",
-             "fragmentation aging phase"),
+             "fragmentation aging phase (and memhog)"),
+    SpanDecl("aging.restore", "span", "repro/sim/scenario.py",
+             "unpickling an aged-kernel snapshot for one capture"),
     SpanDecl("layout", "span", "repro/sim/scenario.py",
              "benchmark address-space layout"),
     SpanDecl("trace.generate", "span", "repro/sim/scenario.py",
@@ -219,6 +230,8 @@ SPANS: Tuple[SpanDecl, ...] = (
 
 
 FAULT_SITES: Tuple[FaultSiteDecl, ...] = (
+    FaultSiteDecl("age", "repro/sim/runner.py",
+                  "worker-side aged-kernel snapshot build task"),
     FaultSiteDecl("capture", "repro/sim/runner.py",
                   "worker-side scenario capture task"),
     FaultSiteDecl("replay", "repro/sim/runner.py",

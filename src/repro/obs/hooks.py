@@ -11,9 +11,11 @@ talk to two small observer classes defined here:
   cost is an ``is not None`` check on its miss/fill/shootdown paths --
   the hit path is untouched.
 * :class:`KernelObserver` -- attached by ``repro.osmem.kernel.Kernel``.
-  Samples the buddy allocator's fragmentation state (free pages,
-  largest free order) into gauges and a Perfetto counter-track
-  timeline on every background tick.
+  Binds the counters of the kernel, its buddy allocator, compaction
+  daemon and THP manager to the registry, and samples the buddy
+  allocator's fragmentation state (free pages, largest free order)
+  into gauges and a Perfetto counter-track timeline on every
+  background tick.
 
 The bottom half is the ``ProcessPoolExecutor`` hand-off:
 :func:`drain_worker_obs` snapshots-and-resets a worker's tracer and
@@ -116,7 +118,7 @@ class MMUObserver:
 
 
 class KernelObserver:
-    """Buddy-fragmentation timeline + kernel counter bridging."""
+    """Buddy-fragmentation timeline + kernel-side counter bridging."""
 
     __slots__ = ("_buddy", "_tracer", "_free_gauge", "_order_gauge")
 
@@ -134,6 +136,11 @@ class KernelObserver:
             help="largest order with a free buddy block (-1 when empty)",
         )
         bind_counterset(registry, "colt_kernel", kernel.counters)
+        bind_counterset(registry, "colt_buddy", kernel.buddy.counters)
+        bind_counterset(
+            registry, "colt_compaction", kernel.compaction.counters
+        )
+        bind_counterset(registry, "colt_thp", kernel.thp.counters)
 
     @staticmethod
     def create(kernel) -> Optional["KernelObserver"]:

@@ -70,6 +70,7 @@ class RunReport:
     workers: List[WorkerLine] = field(default_factory=list)
     wall_ms: float = 0.0
     store: Dict[str, float] = field(default_factory=dict)
+    aged: Dict[str, float] = field(default_factory=dict)
     resilience: Dict[str, float] = field(default_factory=dict)
     watchdog: Dict[str, float] = field(default_factory=dict)
     coalescing: Dict[str, dict] = field(default_factory=dict)
@@ -97,6 +98,7 @@ class RunReport:
         if snapshot is not None:
             report.instrument_count = len(snapshot)
             report._aggregate_store(snapshot)
+            report._aggregate_aged(snapshot)
             report._aggregate_resilience(snapshot)
             report._aggregate_watchdog(snapshot)
             report._aggregate_coalescing(snapshot)
@@ -176,6 +178,12 @@ class RunReport:
                 "saves": snapshot.counter_total("colt_store_saves"),
                 "hit_ratio": hits / (hits + misses) if hits + misses else 0.0,
             }
+
+    def _aggregate_aged(self, snapshot: MetricsSnapshot) -> None:
+        builds = snapshot.counter_total("colt_aged_builds")
+        restores = snapshot.counter_total("colt_aged_restores")
+        if builds or restores:
+            self.aged = {"builds": builds, "restores": restores}
 
     def _aggregate_resilience(self, snapshot: MetricsSnapshot) -> None:
         totals = {
@@ -272,6 +280,13 @@ class RunReport:
                 f"{self.store['evictions']:.0f} evictions, "
                 f"{self.store['saves']:.0f} saves "
                 f"({self.store['hit_ratio']:.0%} hit ratio)"
+            )
+
+        if self.aged:
+            lines.append("")
+            lines.append(
+                f"aged kernels: {self.aged['builds']:.0f} built, "
+                f"{self.aged['restores']:.0f} restored from snapshots"
             )
 
         if self.resilience:

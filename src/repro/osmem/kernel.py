@@ -100,12 +100,30 @@ class KernelConfig:
 
 
 class Kernel:
-    """The simulated operating system's memory manager."""
+    """The simulated operating system's memory manager.
+
+    Args:
+        config: the kernel configuration.
+        sanitize: attach the page-table and buddy sanitizers; ``None``
+            defers to the ``COLT_SANITIZE`` environment variable.
+        observe: when observability is on, report this kernel's
+            counters (and those of its buddy allocator, compaction
+            daemon and THP manager) to the process registry and sample
+            its fragmentation per tick. A kernel built only to be
+            pickled as an aged-kernel snapshot passes False: each
+            kernel restored from the snapshot reports instead, so the
+            aging work is counted once per restore, exactly as when
+            every capture aged its own kernel.
+
+    A kernel pickles without its observer, and unpickling attaches a
+    fresh one bound to the unpickling process's registry and tracer.
+    """
 
     def __init__(
         self,
         config: KernelConfig = KernelConfig(),
         sanitize: Optional[bool] = None,
+        observe: bool = True,
     ) -> None:
         self.config = config
         self.physical = PhysicalMemory(config.num_frames)
@@ -152,8 +170,31 @@ class Kernel:
         self._table_pool: List[int] = []
         self._ticks = 0
         self._last_compaction_tick = -config.compaction_cooldown_ticks
-        self._obs: Optional[KernelObserver] = KernelObserver.create(self)
+        self._obs: Optional[KernelObserver] = (
+            KernelObserver.create(self) if observe else None
+        )
         self._reserve_kernel_frames()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_obs"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._obs = KernelObserver.create(self)
+
+    def release(self) -> None:
+        """Drop everything this kernel holds; the kernel is unusable after.
+
+        Processes, the compaction daemon, the THP manager and the
+        sanitizer hold bound methods of (or references to) the kernel,
+        so a dropped kernel is a web of reference cycles that lives
+        until a full garbage collection. Releasing cuts every cycle at
+        the kernel, so reference counting frees the machine as soon as
+        the caller drops its last reference.
+        """
+        self.__dict__.clear()
 
     # ------------------------------------------------------------------
     # Boot.

@@ -22,8 +22,6 @@ from repro.common.constants import SUPERPAGE_PAGES
 from repro.common.errors import OutOfMemoryError
 from repro.common.statistics import CounterSet
 from repro.common.types import PageAttributes
-from repro.obs.registry import bind_counterset, get_registry
-from repro.obs.trace import obs_active
 from repro.osmem.buddy import BuddyAllocator, order_for_pages
 from repro.osmem.physical import PhysicalMemory
 from repro.osmem.process import Process
@@ -53,8 +51,6 @@ class ThpManager:
         self.counters = CounterSet(
             ["huge_faults", "huge_fallbacks", "splits", "collapses"]
         )
-        if obs_active():
-            bind_counterset(get_registry(), "colt_thp", self.counters)
 
     @property
     def active_superpages(self) -> int:

@@ -5,10 +5,10 @@ credible if it can be exercised on a *seeded schedule*: the same
 ``COLT_FAULTS`` plan must kill the same task of the same batch every
 time, so a chaos test can assert the recovered results are bit-identical
 to a fault-free run. This module is that schedule. A :class:`FaultPlan`
-is a set of :class:`FaultSpec` triggers keyed by *site* (``capture``,
-``replay``, ``experiment``, ``store.write``) and the task's deterministic
-index within that site -- never by wall-clock, pid, or pool scheduling
-order.
+is a set of :class:`FaultSpec` triggers keyed by *site* (``age``,
+``capture``, ``replay``, ``experiment``, ``store.write``) and the
+task's deterministic index within that site -- never by wall-clock,
+pid, or pool scheduling order.
 
 Fault kinds:
 
@@ -75,13 +75,15 @@ EXECUTION_KINDS = ("crash", "raise", "delay")
 #: Fault kinds applied to result-store writes.
 STORE_KINDS = ("torn", "corrupt")
 
-#: Sites execution faults may target. ``experiment`` fires in the
-#: parent before each experiment of a CLI run (indexed by its position
-#: in the requested order), so chaos tests can hold or interrupt a run
-#: between experiments; ``crash`` there demotes to
+#: Sites execution faults may target. ``age``, ``capture`` and
+#: ``replay`` fire at the top of the runner's aged-kernel build, capture
+#: and replay tasks. ``experiment`` fires in the parent before each
+#: experiment of a CLI run (indexed by its position in the requested
+#: order), so chaos tests can hold or interrupt a run between
+#: experiments; ``crash`` there demotes to
 #: :class:`~repro.common.errors.InjectedFaultError` like any other
 #: parent-process fire.
-TASK_SITES = ("capture", "replay", "experiment")
+TASK_SITES = ("age", "capture", "replay", "experiment")
 
 #: The store-write site.
 STORE_SITE = "store.write"
@@ -98,7 +100,8 @@ class FaultSpec:
 
     Attributes:
         kind: one of ``crash``/``raise``/``delay``/``torn``/``corrupt``.
-        site: ``capture``, ``replay``, ``experiment`` or ``store.write``.
+        site: ``age``, ``capture``, ``replay``, ``experiment`` or
+            ``store.write``.
         indices: deterministic per-site task (or write) indices to hit.
         times: fault fires while ``attempt < times`` (default 1).
         seconds: sleep duration for ``delay`` faults.
@@ -231,7 +234,7 @@ class FaultPlan:
     def fire(self, site: str, index: int, attempt: int = 0) -> None:
         """Execute any scheduled task fault for (site, index, attempt).
 
-        Called at the top of a capture/replay task body. May sleep
+        Called at the top of an age/capture/replay task body. May sleep
         (``delay``), raise (``raise``, or ``crash`` in the parent
         process), or never return (``crash`` in a worker).
         """

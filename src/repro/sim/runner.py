@@ -5,14 +5,19 @@ scenario under several TLB designs and assembles the comparison rows the
 paper's figures plot. It is a two-phase executor over the capture/replay
 split of ``repro.sim.scenario`` / ``repro.sim.replay``:
 
-1. **Capture** -- group the requested configs by their TLB-independent
+1. **Age** -- build each distinct aged machine
+   (:func:`repro.sim.scenario.aged_key`: kernel config, seed, aging
+   profile, memhog fraction, sanitize) once, as a pickled snapshot,
+   unless this runner or its store already holds it.
+2. **Capture** -- group the requested configs by their TLB-independent
    scenario (:func:`repro.sim.scenario.scenario_config`) and run the
-   OS+workload interleaving exactly once per group.
-2. **Replay** -- stream each captured log through every requested
+   OS+workload interleaving exactly once per group, starting from the
+   restored snapshot of its aged machine.
+3. **Replay** -- stream each captured log through every requested
    design's MMU on the vectorized engine (:mod:`repro.sim.engine`);
    pure TLB work, no kernel or trace generation.
 
-Both phases fan out across a ``ProcessPoolExecutor`` when ``jobs > 1``,
+All three phases fan out across a ``ProcessPoolExecutor`` when ``jobs > 1``,
 through the crash-tolerant :class:`repro.sim.resilience.ResilientExecutor`:
 per-task submission with config-attributed failures, bounded retries
 with deterministic backoff, per-task deadlines, broken-pool recovery
@@ -65,7 +70,15 @@ from repro.sim.metrics import (
     performance_row,
 )
 from repro.sim.engine import replay_with_engine
-from repro.sim.scenario import CapturedScenario, capture_scenario, scenario_config
+from repro.sim.scenario import (
+    AgedKey,
+    CapturedScenario,
+    aged_key,
+    build_aged_snapshot,
+    capture_scenario,
+    restoring,
+    scenario_config,
+)
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulationConfig, SimulationResult
 from repro.sim.watchdog import (
@@ -94,22 +107,38 @@ def _drain_if_pooled() -> Optional[ObsPayload]:
     return drain_worker_obs() if in_pool_worker() else None
 
 
+def _age_task(
+    key: AgedKey,
+    faults: Optional[FaultPlan],
+    index: int,
+    attempt: int = 0,
+) -> Tuple[bytes, Optional[ObsPayload]]:
+    """Worker entry point: boot and age one machine; its snapshot."""
+    if faults is not None:
+        faults.fire("age", index, attempt)
+    return build_aged_snapshot(key), _drain_if_pooled()
+
+
 def _capture_task(
     config: SimulationConfig,
+    snapshot: bytes,
     faults: Optional[FaultPlan],
     index: int,
     attempt: int = 0,
 ) -> Tuple[CapturedScenario, Optional[ObsPayload]]:
     """Worker entry point: one scenario capture (module-level, picklable).
 
-    The second element carries the worker's drained observability state
-    (``None`` in the common untraced case) back to the parent. Faults
-    fire before the capture, keyed on this task's deterministic
-    (site, index, attempt) triple.
+    The capture restores ``snapshot`` (its aged machine) instead of
+    aging. The second element carries the worker's drained
+    observability state (``None`` in the common untraced case) back to
+    the parent. Faults fire before the capture, keyed on this task's
+    deterministic (site, index, attempt) triple.
     """
     if faults is not None:
         faults.fire("capture", index, attempt)
-    return capture_scenario(config), _drain_if_pooled()
+    with restoring(aged_key(config), snapshot):
+        scenario = capture_scenario(config)
+    return scenario, _drain_if_pooled()
 
 
 def _replay_task(
@@ -124,6 +153,15 @@ def _replay_task(
         faults.fire("replay", index, attempt)
     results = [replay_with_engine(scenario, config) for config in configs]
     return results, _drain_if_pooled()
+
+
+def _age_context(key: AgedKey) -> Dict[str, object]:
+    return {
+        "stage": "age",
+        "seed": key.seed,
+        "num_frames": key.kernel.num_frames,
+        "memhog": key.memhog_fraction,
+    }
 
 
 def _capture_context(config: SimulationConfig) -> Dict[str, object]:
@@ -207,6 +245,9 @@ class ExperimentRunner:
             )
         self._cache: Dict[SimulationConfig, SimulationResult] = {}
         self._scenarios: Dict[SimulationConfig, CapturedScenario] = {}
+        # Aged-kernel snapshots, kept for the runner's life: a handful
+        # of distinct machines serve every experiment of a run.
+        self._aged: Dict[AgedKey, bytes] = {}
         # Observability state shipped back from pool workers.
         self._foreign_events: List[TraceEvent] = []
         self._foreign_dropped = 0
@@ -374,6 +415,20 @@ class ExperimentRunner:
                 jobs = max(1, jobs // 2)
 
         to_capture = [key for key in groups if key not in self._scenarios]
+        machine = {key: aged_key(key) for key in to_capture}
+        to_age: List[AgedKey] = []
+        for aged in machine.values():
+            if aged in self._aged or aged in to_age:
+                continue
+            stored = (
+                self._store.load_snapshot(aged)
+                if self._store is not None
+                else None
+            )
+            if stored is not None:
+                self._aged[aged] = stored
+            else:
+                to_age.append(aged)
         all_chunks: List[Tuple[SimulationConfig, List[SimulationConfig]]]
         all_chunks = []
         per_group = max(1, jobs // max(1, len(groups)))
@@ -381,21 +436,20 @@ class ExperimentRunner:
             for chunk in _chunk(group, per_group):
                 all_chunks.append((key, chunk))
 
-        capture_tasks = [
+        age_tasks = [
             TaskSpec(
-                fn=_capture_task,
-                args=(key, self._faults, index),
-                site="capture",
+                fn=_age_task,
+                args=(aged, self._faults, index),
+                site="age",
                 index=index,
-                context=_capture_context(key),
+                context=_age_context(aged),
             )
-            for index, key in enumerate(to_capture)
+            for index, aged in enumerate(to_age)
         ]
         # Run inline when there is no parallelism to exploit -- matches
         # the pre-resilience behaviour of not paying for a pool.
-        effective_jobs = (
-            jobs if len(capture_tasks) + len(all_chunks) > 1 else 1
-        )
+        tasks = len(age_tasks) + len(to_capture) + len(all_chunks)
+        effective_jobs = jobs if tasks > 1 else 1
         # The initializer drops the tracer/registry state a forked
         # worker inherits from this process -- without it, the parent's
         # buffered events would be reported twice.
@@ -410,6 +464,31 @@ class ExperimentRunner:
         ) as executor:
             failure: Optional[TaskExecutionError] = None
             get_progress().update_section(
+                "runner", stage="age", ages=len(age_tasks)
+            )
+            try:
+                for task, (snapshot, payload) in executor.run(age_tasks):
+                    aged = to_age[task.index]
+                    self._aged[aged] = snapshot
+                    if self._store is not None:
+                        self._store.save_snapshot(aged, snapshot)
+                    self._absorb(payload)
+            except TaskExecutionError as exc:
+                # Captures whose machine did age still run (and their
+                # replays checkpoint) before the batch raises.
+                failure = exc
+            capture_tasks = [
+                TaskSpec(
+                    fn=_capture_task,
+                    args=(key, self._aged[machine[key]], self._faults, index),
+                    site="capture",
+                    index=index,
+                    context=_capture_context(key),
+                )
+                for index, key in enumerate(to_capture)
+                if machine[key] in self._aged
+            ]
+            get_progress().update_section(
                 "runner", stage="capture", captures=len(capture_tasks)
             )
             try:
@@ -419,7 +498,8 @@ class ExperimentRunner:
             except TaskExecutionError as exc:
                 # Keep going: scenarios that did capture can still
                 # replay (and checkpoint) before the batch raises.
-                failure = exc
+                if failure is None:
+                    failure = exc
             replay_chunks = [
                 (key, chunk)
                 for key, chunk in all_chunks
@@ -507,10 +587,11 @@ class ExperimentRunner:
         ]
 
     def clear(self) -> None:
-        """Drop the in-process memo and captured scenarios.
+        """Drop the in-process memo, captured scenarios and snapshots.
 
         The on-disk store (if any) is left intact; clear it explicitly
         with :meth:`repro.sim.store.ResultStore.clear`.
         """
         self._cache.clear()
         self._scenarios.clear()
+        self._aged.clear()

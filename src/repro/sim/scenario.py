@@ -21,6 +21,16 @@ is in the log; nothing TLB-design-dependent is. Replaying it through
 ``repro.sim.replay`` is bit-identical to the oracle run -- enforced
 by ``repro.analysis.determinism --replay`` and the tier-1 tests.
 
+Boot, aging and memhog depend only on the config's :func:`aged_key`,
+and many scenarios share one aged machine (QUICK ``all``: 8 machines
+for 40 captures). :func:`build_aged_snapshot` boots and ages a machine
+once and pickles it; :meth:`ScenarioEngine.prepare` restores the bytes
+instead of aging again, then lays out the benchmark as usual. The
+runner hands a capture its snapshot through :func:`restoring`, so
+:func:`capture_scenario` keeps its one-argument call; without a
+snapshot (``simulate()``, a bare capture) the engine boots and ages in
+place, which is the oracle the restored path is tested against.
+
 Each walk outcome is computed once per change of the page table. The
 recorder memoises ``vpn -> (line version, row id)``, where the version
 is the one :class:`~repro.osmem.page_table.PageTable` bumps on every
@@ -33,14 +43,19 @@ enough to ship to ``ProcessPoolExecutor`` workers.
 
 from __future__ import annotations
 
+import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple,
+)
 
 import numpy as np
 
 from repro.analysis.sanitizers import resolve_sanitize
 from repro.common.constants import PTES_PER_CACHE_LINE
 from repro.common.errors import (
+    ConfigurationError,
     OutOfMemoryError,
     SanitizerError,
     TranslationError,
@@ -49,9 +64,10 @@ from repro.common.rng import SeedSequencer
 from repro.common.statistics import CounterSnapshot
 from repro.contiguity.scanner import ContiguityReport
 from repro.core.mmu import CoLTDesign
-from repro.obs.trace import span
-from repro.osmem.kernel import Kernel
-from repro.osmem.memhog import Memhog, age_system
+from repro.obs.registry import get_registry
+from repro.obs.trace import obs_active, span
+from repro.osmem.kernel import Kernel, KernelConfig
+from repro.osmem.memhog import AgingProfile, Memhog, age_system
 from repro.osmem.process import Process
 from repro.workloads.benchmarks import BenchmarkProfile, get_benchmark
 from repro.workloads.trace import Trace, generate_trace, scaled_region_pages
@@ -111,6 +127,98 @@ def scenario_config(config: "SimulationConfig") -> "SimulationConfig":
     return config.with_updates(design=CoLTDesign.BASELINE, mmu=None)
 
 
+@dataclass(frozen=True)
+class AgedKey:
+    """Everything kernel boot, aging and memhog read from a config.
+
+    Two configs with equal keys start their layout on identical aged
+    machines, so one :func:`build_aged_snapshot` serves both.
+    ``sanitize`` is resolved (``None`` reads ``COLT_SANITIZE``): a
+    snapshot carries its sanitizers.
+    """
+
+    kernel: KernelConfig
+    seed: int
+    aging: Optional[AgingProfile]
+    memhog_fraction: float
+    sanitize: bool
+
+
+def aged_key(config: "SimulationConfig") -> AgedKey:
+    """The aged machine ``config`` runs on (see :class:`AgedKey`)."""
+    return AgedKey(
+        kernel=config.kernel,
+        seed=config.seed,
+        aging=config.aging,
+        memhog_fraction=config.memhog_fraction,
+        sanitize=resolve_sanitize(config.sanitize),
+    )
+
+
+def _boot_and_age(
+    key: AgedKey, observe: bool
+) -> Tuple[Kernel, List[Process]]:
+    """Boot a kernel, age it and start memhog; ``(kernel, daemons)``.
+
+    ``daemons`` are the background processes run-time churn allocates
+    from. ``observe`` is passed to :class:`Kernel`.
+    """
+    seeds = SeedSequencer(key.seed)
+    with span("kernel.boot", seed=key.seed):
+        kernel = Kernel(key.kernel, sanitize=key.sanitize, observe=observe)
+    with span("aging", aged=key.aging is not None):
+        if key.aging is not None:
+            daemons = age_system(kernel, seeds, key.aging)
+        else:
+            daemon = kernel.create_process("background0", fault_batch=4)
+            kernel.register_reclaim_victim(daemon)
+            daemons = [daemon]
+        if key.memhog_fraction > 0:
+            Memhog(kernel, key.memhog_fraction, seeds).start()
+    if obs_active():
+        get_registry().counter(
+            "colt_aged_builds", help="kernels booted and aged"
+        ).inc()
+    return kernel, daemons
+
+
+def build_aged_snapshot(key: AgedKey) -> bytes:
+    """Boot and age the machine of ``key``; its pickled state.
+
+    The bytes are ``pickle.dumps((kernel, daemons))``; every
+    :meth:`ScenarioEngine.prepare` handed them restores an identical
+    machine. The kernel is built unobserved, since each restored copy
+    reports its counters (aging included) itself.
+    """
+    kernel, daemons = _boot_and_age(key, observe=False)
+    snapshot = pickle.dumps(
+        (kernel, daemons), protocol=pickle.HIGHEST_PROTOCOL
+    )
+    kernel.release()
+    return snapshot
+
+
+#: ``(aged key, snapshot)`` that :func:`capture_scenario` restores
+#: instead of aging; set only inside :func:`restoring`.
+_restore_slot: Optional[Tuple[AgedKey, bytes]] = None
+
+
+@contextmanager
+def restoring(key: AgedKey, snapshot: bytes) -> Iterator[None]:
+    """Captures inside this block restore ``snapshot`` instead of aging.
+
+    :func:`capture_scenario` keeps its one-argument call (wrappers that
+    time or record captures call it with the config alone), so the
+    runner's capture task hands the snapshot over through this slot.
+    """
+    global _restore_slot
+    _restore_slot = (key, snapshot)
+    try:
+        yield
+    finally:
+        _restore_slot = None
+
+
 class ScenarioEngine:
     """Boots, loads and steps one scenario's OS+workload interleaving."""
 
@@ -127,26 +235,28 @@ class ScenarioEngine:
     # Phase 1-2: boot + load.
     # ------------------------------------------------------------------
 
-    def prepare(self) -> None:
-        """Boot the kernel, age it, start memhog, lay out the benchmark."""
+    def prepare(self, snapshot: Optional[bytes] = None) -> None:
+        """Boot and age the machine, or restore it; lay out the benchmark.
+
+        With ``snapshot`` (bytes from :func:`build_aged_snapshot` for
+        this config's :func:`aged_key`) the aged kernel is unpickled
+        instead of booted and aged again; with sanitizers on, it is
+        fully scanned before the layout touches it.
+        """
         config = self.config
-        with span("kernel.boot", benchmark=config.benchmark):
-            self.kernel = Kernel(config.kernel, sanitize=config.sanitize)
-        with span("aging", aged=config.aging is not None):
-            if config.aging is not None:
-                self._daemons = age_system(
-                    self.kernel, self._seeds, config.aging
-                )
-            else:
-                daemon = self.kernel.create_process(
-                    "background0", fault_batch=4
-                )
-                self.kernel.register_reclaim_victim(daemon)
-                self._daemons = [daemon]
-            if config.memhog_fraction > 0:
-                Memhog(
-                    self.kernel, config.memhog_fraction, self._seeds
-                ).start()
+        if snapshot is None:
+            self.kernel, self._daemons = _boot_and_age(
+                aged_key(config), observe=True
+            )
+        else:
+            with span("aging.restore", bytes=len(snapshot)):
+                self.kernel, self._daemons = pickle.loads(snapshot)
+            if obs_active():
+                get_registry().counter(
+                    "colt_aged_restores",
+                    help="aged kernels restored from snapshots",
+                ).inc()
+            self.sanity_check()
 
         with span("layout", benchmark=self.profile.name):
             self.process = self.kernel.create_process(self.profile.name)
@@ -394,8 +504,16 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
     capture is reusable across every TLB design of the same scenario.
     """
     config = scenario_config(config)
-    # One span over the whole capture: boot, aging, layout, trace
-    # generation, the run loop and dedup all nest inside it.
+    snapshot = None
+    if _restore_slot is not None:
+        key, snapshot = _restore_slot
+        if key != aged_key(config):
+            raise ConfigurationError(
+                f"aged-kernel snapshot for {key} handed to a capture "
+                f"of {aged_key(config)}"
+            )
+    # One span over the whole capture: boot, aging (or its restore),
+    # layout, trace generation, the run loop and dedup all nest in it.
     with span(
         "capture",
         benchmark=config.benchmark,
@@ -403,7 +521,7 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
         seed=config.seed,
     ):
         engine = ScenarioEngine(config)
-        engine.prepare()
+        engine.prepare(snapshot)
         recorder = _CaptureRecorder(engine)
         engine.run_loop(recorder.on_access)
         engine.sanity_check()
@@ -417,7 +535,7 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
             event_array = np.asarray(recorder.events, dtype=np.int64)
         else:
             event_array = np.zeros((0, 3), dtype=np.int64)
-        return CapturedScenario(
+        scenario = CapturedScenario(
             config=config,
             profile=engine.profile,
             vpns=np.asarray(engine.trace.vpns, dtype=np.int64).copy(),
@@ -430,3 +548,5 @@ def capture_scenario(config: "SimulationConfig") -> CapturedScenario:
             contiguity=ContiguityReport.from_process(engine.process),
             trace_unique_pages=engine.trace.unique_pages,
         )
+    engine.kernel.release()
+    return scenario

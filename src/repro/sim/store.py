@@ -32,6 +32,13 @@ the broad net of exceptions a corrupt pickle can produce -- are
 unlinked) and recomputed; per-exception-class counters record what was
 seen. Pre-framing entries (raw pickle, no magic) still load.
 
+The store also holds *aged-kernel snapshots* (the pickled machine
+after boot, aging and memhog; see :func:`repro.sim.scenario.aged_key`)
+under ``aged/``, keyed by the same kind of content hash over the aged
+key, in the same frame and with the same quarantine. They are kept
+apart from results: ``len(store)`` and the hit/miss/save counters count
+results only, and ``store.write`` faults index result writes only.
+
 A store whose directory cannot be created (read-only filesystem,
 path shadowed by a file) degrades to store-less operation with a
 warning instead of failing the run: loads miss, saves are dropped.
@@ -52,7 +59,7 @@ import json
 import os
 import pickle
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.common import constants
 from repro.common.atomicio import atomic_write_bytes
@@ -62,6 +69,9 @@ from repro.obs.registry import bind_counterset, get_registry
 from repro.obs.trace import current_tracer, obs_active
 from repro.sim.faults import FaultPlan, corrupt_bytes
 from repro.sim.system import SimulationConfig, SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.scenario import AgedKey
 
 _LOG = get_logger(__name__)
 
@@ -73,6 +83,9 @@ DEFAULT_STORE_DIR = ".colt-cache"
 
 #: Subdirectory undecodable entries are moved into (never re-read).
 QUARANTINE_DIR = "quarantine"
+
+#: Subdirectory aged-kernel snapshots are stored in.
+SNAPSHOT_DIR = "aged"
 
 #: Bump on any behavioural change not captured by config or constants
 #: (e.g. capture-record layout, walk-latency accounting).
@@ -167,15 +180,24 @@ def _constants_fingerprint() -> dict:
     }
 
 
-def config_key(config: SimulationConfig) -> str:
-    """Stable content hash of a config + code-relevant constants."""
+def _content_key(name: str, value) -> str:
     payload = {
         "version": STORE_VERSION,
-        "config": _encode(config),
+        name: _encode(value),
         "constants": _constants_fingerprint(),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def config_key(config: SimulationConfig) -> str:
+    """Stable content hash of a config + code-relevant constants."""
+    return _content_key("config", config)
+
+
+def snapshot_key(key: "AgedKey") -> str:
+    """Stable content hash of an aged key + code-relevant constants."""
+    return _content_key("aged", key)
 
 
 def run_fingerprint(scale, experiment_ids: Sequence[str]) -> str:
@@ -273,22 +295,8 @@ class ResultStore:
         if self._disabled:
             return None
         path = self._path(config)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            self.counters.increment("misses")
-            return None
-        except OSError as exc:
-            _LOG.warning("store read failed for %s: %s", path.name, exc)
-            self.counters.increment("io_errors")
-            self.counters.increment("misses")
-            return None
-        try:
-            result = pickle.loads(unframe_payload(blob))
-        except _CORRUPT_EXCEPTIONS as exc:
-            # A torn, corrupted or hostile entry: quarantine for
-            # post-mortem (never silently unlink) and recompute.
-            self._quarantine(path, exc)
+        result = self._read(path)
+        if result is None:
             self.counters.increment("misses")
             return None
         if not isinstance(result, SimulationResult) or result.config != config:
@@ -301,6 +309,24 @@ class ResultStore:
             return None
         self.counters.increment("hits")
         return result
+
+    def _read(self, path: Path):
+        """The unpickled entry at ``path``; None if absent or undecodable."""
+        try:
+            blob = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError as exc:
+            _LOG.warning("store read failed for %s: %s", path.name, exc)
+            self.counters.increment("io_errors")
+            return None
+        try:
+            return pickle.loads(unframe_payload(blob))
+        except _CORRUPT_EXCEPTIONS as exc:
+            # A torn, corrupted or hostile entry: quarantine for
+            # post-mortem (never silently unlink) and recompute.
+            self._quarantine(path, exc)
+            return None
 
     def _quarantine(self, path: Path, exc: BaseException) -> None:
         """Move an undecodable entry aside, tagged by exception class."""
@@ -342,29 +368,79 @@ class ResultStore:
             kind = self._faults.corruption(index)
             if kind is not None:
                 frame = corrupt_bytes(frame, kind)
-        path = self._path(config)
+        if self._write(self._path(config), frame):
+            self.counters.increment("saves")
+
+    def _write(self, path: Path, frame: bytes) -> bool:
         try:
             atomic_write_bytes(path, frame)
         except OSError as exc:
             # Disk full / permissions lost mid-run: degrade to a warned
-            # dropped save, the in-process cache still has the result.
+            # dropped save, the in-process cache still has the entry.
+            _LOG.warning("store save failed for %s: %s", path.name, exc)
+            self.counters.increment("save_errors")
+            return False
+        return True
+
+    def _snapshot_path(self, key: "AgedKey") -> Path:
+        return self.root / SNAPSHOT_DIR / f"{snapshot_key(key)}.pkl"
+
+    def load_snapshot(self, key: "AgedKey") -> Optional[bytes]:
+        """The stored aged-kernel snapshot for ``key``, or None."""
+        if self._disabled:
+            return None
+        path = self._snapshot_path(key)
+        entry = self._read(path)
+        if entry is None:
+            return None
+        if not (
+            isinstance(entry, tuple)
+            and len(entry) == 2
+            and entry[0] == key
+            and isinstance(entry[1], bytes)
+        ):
+            _LOG.warning("dropping mismatched snapshot %s", path.name)
+            path.unlink(missing_ok=True)
+            return None
+        return entry[1]
+
+    def save_snapshot(self, key: "AgedKey", snapshot: bytes) -> None:
+        """Persist an aged-kernel snapshot atomically."""
+        if self._disabled:
+            return
+        path = self._snapshot_path(key)
+        try:
+            path.parent.mkdir(exist_ok=True)
+        except OSError as exc:
             _LOG.warning("store save failed for %s: %s", path.name, exc)
             self.counters.increment("save_errors")
             return
-        self.counters.increment("saves")
+        self._write(
+            path,
+            frame_payload(
+                pickle.dumps((key, snapshot), protocol=pickle.HIGHEST_PROTOCOL)
+            ),
+        )
 
     def clear(self) -> int:
-        """Delete every stored entry (quarantined included); count removed."""
+        """Delete every stored entry, snapshots and quarantine included.
+
+        Returns the number of files removed from the root and the
+        quarantine; like ``len(store)``, the count leaves ``aged/`` out.
+        """
         if self._disabled:
             return 0
         removed = 0
-        quarantine = self.root / QUARANTINE_DIR
-        for directory in (self.root, quarantine):
+        for directory in (self.root, self.root / QUARANTINE_DIR):
             if not directory.is_dir():
                 continue
             for path in directory.glob("*.pkl"):
                 path.unlink(missing_ok=True)
                 removed += 1
+        snapshots = self.root / SNAPSHOT_DIR
+        if snapshots.is_dir():
+            for path in snapshots.glob("*.pkl"):
+                path.unlink(missing_ok=True)
         return removed
 
     def __len__(self) -> int:

@@ -22,10 +22,11 @@ from repro.sim.runner import ExperimentRunner
 from repro.sim.scenario import (
     LLCPollution,
     ScenarioEngine,
+    aged_key,
     capture_scenario,
     scenario_config,
 )
-from repro.sim.store import ResultStore, config_key
+from repro.sim.store import SNAPSHOT_DIR, ResultStore, config_key
 from repro.sim.system import SimulationConfig, simulate
 from repro.experiments.environments import simulation_config
 from repro.experiments.scale import QUICK
@@ -131,6 +132,35 @@ class TestCaptureOnce:
         assert len(results) == len(ALL_DESIGNS)
         assert len(constructions) == 1
 
+    def test_each_aged_machine_is_booted_once(self, monkeypatch):
+        """Captures that share an aged key restore one snapshot; a
+        rerun on a warm store that needs new captures boots nothing."""
+        constructions = []
+        original = Kernel.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructions.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "__init__", counting_init)
+        base = small_config(accesses=1500, scale=0.1)
+        configs = [
+            base.with_updates(benchmark=benchmark, seed=seed)
+            for benchmark in ("gobmk", "milc", "astar")
+            for seed in (11, 12)
+        ]
+        runner = ExperimentRunner(jobs=1, store=ResultStore(self.store_dir))
+        runner.run_batch(configs)
+        assert len(constructions) == 2  # two seeds, two aged machines
+        # A new runner on the warm store: new captures, no boot.
+        rerun = ExperimentRunner(jobs=1, store=ResultStore(self.store_dir))
+        rerun.run_batch([c.with_updates(accesses=1200) for c in configs])
+        assert len(constructions) == 2
+
+    @pytest.fixture(autouse=True)
+    def _store_dir(self, tmp_path):
+        self.store_dir = tmp_path / "store"
+
     def test_runner_memoises_identical_configs(self):
         runner = ExperimentRunner()
         config = small_config(accesses=1500, scale=0.1)
@@ -182,6 +212,20 @@ class TestResultStore:
             base.with_updates(tick_every=1000),
         ):
             assert config_key(changed) != config_key(base)
+
+    def test_snapshots_live_apart_from_results(self, tmp_path):
+        store = ResultStore(tmp_path)
+        config = small_config(accesses=1500, scale=0.1)
+        ExperimentRunner(store=store).run(config)
+        snapshots = list((tmp_path / SNAPSHOT_DIR).glob("*.pkl"))
+        assert len(snapshots) == 1
+        assert len(store) == 1
+        counts = store.counters.as_dict()
+        assert (counts["hits"], counts["misses"], counts["saves"]) == (0, 1, 1)
+        assert store.load_snapshot(aged_key(config)) is not None
+        assert store.clear() == 1
+        assert not list((tmp_path / SNAPSHOT_DIR).glob("*.pkl"))
+        assert store.load_snapshot(aged_key(config)) is None
 
     def test_corrupt_entry_is_recomputed(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -42,6 +42,7 @@ from repro.sim.scenario import capture_scenario, scenario_config
 from repro.sim.store import ResultStore
 from repro.sim.system import SimulationConfig, simulate
 from repro.core.mmu import CoLTDesign
+from repro.experiments.registry import get_experiment
 from repro.experiments.scale import QUICK
 from repro.osmem.kernel import KernelConfig
 from repro.osmem.memhog import SIMULATION_AGING
@@ -366,6 +367,69 @@ class TestTracedDeterminism:
         assert "colt_coalesce_run_length" in snapshot
         assert snapshot.counter_total("colt_mmu_l1_misses") > 0
         assert snapshot.counter_total("colt_kernel_faults") > 0
+
+
+    def test_kernel_counters_match_in_place_after_restores(self, obs_on):
+        """A traced jobs=2 fig18 run restores one aged snapshot per
+        capture. The registry's kernel-side totals must equal the sum of
+        the captures' kernel counters, and the buddy / compaction / THP
+        totals those of the same captures booted and aged in place."""
+        scale = QUICK.with_updates(
+            accesses=1500, num_frames=4096, footprint_scale=0.1,
+            benchmarks=("gobmk", "milc"),
+        )
+        runner = ExperimentRunner(jobs=2)
+        simulated = {}
+        run_batch = runner.run_batch
+
+        def keep(configs):
+            results = run_batch(configs)
+            simulated.update(results)
+            return results
+
+        runner.run_batch = keep
+        get_experiment("fig18").run(scale, runner)
+        restored = get_registry().snapshot()
+        scenarios = {
+            scenario_config(config): result
+            for config, result in simulated.items()
+        }
+        assert restored.counter_total("colt_aged_builds") == 1
+        assert restored.counter_total("colt_aged_restores") == len(scenarios)
+        for name in next(iter(scenarios.values())).kernel_counters.values:
+            assert restored.counter_total(f"colt_kernel_{name}") == sum(
+                result.kernel_counters[name] for result in scenarios.values()
+            ), name
+
+        set_registry(None)
+        for config in scenarios:
+            capture_scenario(config)
+        in_place = get_registry().snapshot()
+        prefixes = ("colt_kernel_", "colt_buddy_", "colt_compaction_",
+                    "colt_thp_")
+        names = [
+            name for name in in_place.instruments
+            if name.startswith(prefixes)
+            and in_place.get(name)["kind"] == "counter"
+        ]
+        assert len(names) >= 20
+        for name in names:
+            assert restored.counter_total(name) == in_place.counter_total(
+                name
+            ), name
+
+    def test_report_says_aging_was_skipped(self, obs_on):
+        config = _small_config(accesses=1000)
+        runner = ExperimentRunner(jobs=1)
+        runner.run_batch([config, config.with_updates(benchmark="milc")])
+        report = RunReport.build(
+            runner.trace_events(), get_registry().snapshot()
+        )
+        assert report.aged == {"builds": 1, "restores": 2}
+        assert "aged kernels: 1 built, 2 restored" in report.render()
+        names = span_names(runner.trace_events())
+        assert names.get("aging") == 1
+        assert names.get("aging.restore") == 2
 
 
 # ---------------------------------------------------------------------------

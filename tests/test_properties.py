@@ -12,10 +12,15 @@ These check the invariants everything else relies on:
 * weighted CDFs are monotone and end at 1;
 * the memoised capture recorder writes exactly the records, record
   index and shootdown arrays of the per-access recorder it replaced;
+* a capture that restores an aged-kernel snapshot equals the capture
+  that boots and ages in place, and both replay to ``simulate()``;
+  the snapshot's key changes exactly when an input of aging changes;
 * the array-based compaction scanners migrate exactly the pages the
   list-based linear scan did.
 """
 
+import dataclasses
+import gc
 from types import SimpleNamespace
 
 import hypothesis.strategies as st
@@ -26,6 +31,7 @@ from hypothesis import HealthCheck, example, given, settings
 import repro.sim.scenario as scenario_module
 from repro.common.cdfs import WeightedCDF, average_contiguity, contiguity_cdf
 from repro.common.errors import (
+    ConfigurationError,
     OutOfMemoryError,
     SanitizerError,
     TranslationError,
@@ -35,15 +41,20 @@ from repro.contiguity.scanner import scan_translations
 from repro.core.coalescing import contiguous_run_around
 from repro.osmem.buddy import BuddyAllocator
 from repro.osmem.kernel import Kernel, KernelConfig
-from repro.osmem.memhog import CHARACTERIZATION_AGING
+from repro.core.mmu import CoLTDesign
+from repro.osmem.memhog import CHARACTERIZATION_AGING, SIMULATION_AGING
 from repro.osmem.page_table import PageTable
+from repro.sim.engine import replay_with_engine
 from repro.sim.scenario import (
     RECORD_COLUMNS,
     ScenarioEngine,
+    aged_key,
+    build_aged_snapshot,
     capture_scenario,
+    restoring,
     scenario_config,
 )
-from repro.sim.system import SimulationConfig
+from repro.sim.system import SimulationConfig, simulate
 from repro.tlb.config import SetAssociativeTLBConfig
 from repro.tlb.entries import CoalescedEntry, RangeEntry
 from repro.tlb.set_associative import SetAssociativeTLB
@@ -552,6 +563,161 @@ def test_memo_recomputes_after_a_neighbour_is_mapped():
     records, record_index = recorder.deduplicate()
     assert records.shape == (2, RECORD_COLUMNS)
     assert record_index.tolist() == [0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# Aged-kernel snapshot: restored capture == in-place capture == simulate().
+# ---------------------------------------------------------------------------
+
+
+def _restored_capture(config):
+    key = aged_key(config)
+    with restoring(key, build_aged_snapshot(key)):
+        return capture_scenario(config)
+
+
+def _assert_same_capture(restored, in_place):
+    for name in (
+        "vpns", "records", "record_index",
+        "inval_before", "inval_start", "inval_count",
+    ):
+        got, want = getattr(restored, name), getattr(in_place, name)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert restored.kernel_counters == in_place.kernel_counters
+    assert restored.contiguity == in_place.contiguity
+    assert restored.trace_unique_pages == in_place.trace_unique_pages
+
+
+_AGING_PROFILES = {
+    "simulation": SIMULATION_AGING,
+    "characterization": CHARACTERIZATION_AGING,
+    "none": None,
+}
+
+
+@given(
+    ths=st.booleans(),
+    defrag=st.booleans(),
+    memhog=st.sampled_from([0.0, 0.25, 0.5]),
+    aging=st.sampled_from(sorted(_AGING_PROFILES)),
+    churn_every=st.sampled_from([0, 7, 48]),
+    tick_every=st.sampled_from([0, 25, 200]),
+    seed=st.integers(0, 50),
+    sanitize=st.booleans(),
+)
+@settings(max_examples=8, deadline=None)
+def test_restored_capture_matches_in_place_and_simulate(
+    ths, defrag, memhog, aging, churn_every, tick_every, seed, sanitize
+):
+    config = dataclasses.replace(
+        _small_capture_config(
+            "omnetpp", ths, defrag, memhog, True, churn_every, tick_every,
+            seed,
+        ),
+        aging=_AGING_PROFILES[aging],
+        sanitize=sanitize,
+        design=CoLTDesign.COLT_ALL,
+    )
+    restored = _restored_capture(config)
+    _assert_same_capture(restored, capture_scenario(config))
+    assert replay_with_engine(restored, config) == simulate(config)
+
+
+#: Every SimulationConfig field, split by whether boot, aging or memhog
+#: read it. A new field must be placed here, so the key cannot go stale.
+_AGED_FIELDS = {
+    "kernel": KernelConfig(num_frames=4096, ths_enabled=False),
+    "seed": 6,
+    "aging": SIMULATION_AGING,
+    "memhog_fraction": 0.25,
+    "sanitize": True,
+}
+_RUN_FIELDS = {
+    "benchmark": "milc",
+    "accesses": 999,
+    "scale": 0.2,
+    "design": CoLTDesign.COLT_FA,
+    "mmu": SimulationConfig(design=CoLTDesign.COLT_SA).mmu,
+    "churn_every": 11,
+    "churn_pages": 9,
+    "churn_live_limit": 5,
+    "tick_every": 13,
+    "llc_pollution_per_access": 0.5,
+}
+
+
+def test_every_config_field_is_classified_for_the_aged_key():
+    fields = {field.name for field in dataclasses.fields(SimulationConfig)}
+    assert fields == set(_AGED_FIELDS) | set(_RUN_FIELDS)
+
+
+@pytest.mark.parametrize("name", sorted(_AGED_FIELDS))
+def test_aged_key_changes_with_every_input_of_aging(name):
+    base = _small_capture_config(seed=5).with_updates(sanitize=False)
+    changed = base.with_updates(**{name: _AGED_FIELDS[name]})
+    assert getattr(changed, name) != getattr(base, name)
+    assert aged_key(changed) != aged_key(base)
+
+
+@pytest.mark.parametrize("name", sorted(_RUN_FIELDS))
+def test_aged_key_ignores_what_runs_after_aging(name):
+    base = _small_capture_config(seed=5)
+    changed = base.with_updates(**{name: _RUN_FIELDS[name]})
+    assert aged_key(changed) == aged_key(base)
+
+
+def test_aged_key_resolves_sanitize_from_the_environment(monkeypatch):
+    config = _small_capture_config()
+    monkeypatch.setenv("COLT_SANITIZE", "1")
+    assert aged_key(config) == aged_key(config.with_updates(sanitize=True))
+    monkeypatch.setenv("COLT_SANITIZE", "0")
+    assert aged_key(config) == aged_key(config.with_updates(sanitize=False))
+
+
+def test_snapshot_for_another_machine_is_refused():
+    config = _small_capture_config()
+    other = aged_key(config.with_updates(seed=6))
+    with restoring(other, b"unused"):
+        with pytest.raises(ConfigurationError):
+            capture_scenario(config)
+
+
+def test_sanitized_restore_scans_before_layout(monkeypatch):
+    config = _small_capture_config(memhog=0.25).with_updates(sanitize=True)
+    scans = []
+    engine = ScenarioEngine(config)
+    monkeypatch.setattr(
+        ScenarioEngine, "sanity_check",
+        lambda self: scans.append(self.process),
+    )
+    engine.prepare(build_aged_snapshot(aged_key(config)))
+    # One full scan, before the benchmark process existed.
+    assert scans == [None]
+    assert engine.kernel.sanitizer is not None
+
+
+def test_capture_frees_its_kernel_without_a_collection():
+    config = _small_capture_config(memhog=0.25)
+    snapshot = build_aged_snapshot(aged_key(config))
+
+    def kernels():
+        return sum(
+            1 for obj in gc.get_objects() if isinstance(obj, Kernel)
+        )
+
+    gc.collect()
+    before = kernels()
+    gc.disable()
+    try:
+        build_aged_snapshot(aged_key(config))
+        with restoring(aged_key(config), snapshot):
+            capture_scenario(config)
+        capture_scenario(config)
+        assert kernels() == before
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,10 @@ from repro.sim.resilience import (
     TaskSpec,
 )
 from repro.sim.runner import ExperimentRunner
+from repro.sim.scenario import aged_key
 from repro.sim.store import (
     QUARANTINE_DIR,
+    SNAPSHOT_DIR,
     STORE_ENV,
     STORE_MAGIC,
     ResultStore,
@@ -328,6 +330,37 @@ class TestHardenedStore:
         assert counts["quarantines"] == 2
         assert counts["hits"] == 1
 
+    def test_corrupt_snapshot_is_quarantined_and_rebuilt(
+        self, tmp_path, obs_off, baseline
+    ):
+        ExperimentRunner(
+            jobs=1, store=ResultStore(tmp_path / "cache")
+        ).run_designs(CHAOS_CONFIG)
+        (snapshot,) = (tmp_path / "cache" / SNAPSHOT_DIR).glob("*.pkl")
+        snapshot.write_bytes(corrupt_bytes(snapshot.read_bytes(), "corrupt"))
+        for result in (tmp_path / "cache").glob("*.pkl"):
+            result.unlink()  # force new captures
+        store = ResultStore(tmp_path / "cache")
+        rerun = ExperimentRunner(jobs=1, store=store)
+        assert rerun.run_designs(CHAOS_CONFIG) == baseline
+        assert store.counters.as_dict()["quarantines"] == 1
+        assert (store.root / QUARANTINE_DIR / snapshot.name).exists()
+        # The rebuilt snapshot replaced the quarantined one.
+        assert store.load_snapshot(aged_key(CHAOS_CONFIG)) is not None
+
+    def test_write_faults_index_result_writes_only(self, tmp_path, obs_off,
+                                                   baseline):
+        plan = FaultPlan.parse("corrupt@store.write:0")
+        store = ResultStore(tmp_path / "cache", faults=plan)
+        runner = ExperimentRunner(jobs=1, store=store)
+        assert runner.run_designs(CHAOS_CONFIG) == baseline
+        assert store._write_index == len(baseline)
+        fresh = ResultStore(tmp_path / "cache")
+        assert fresh.load_snapshot(aged_key(CHAOS_CONFIG)) is not None
+        loaded = [fresh.load(result.config) for result in baseline.values()]
+        assert sum(result is None for result in loaded) == 1
+        assert fresh.counters.as_dict()["quarantines"] == 1
+
     def test_clear_purges_quarantine_too(self, tmp_path, obs_off, sim_pair):
         config, result = sim_pair
         store = ResultStore(tmp_path / "cache")
@@ -440,6 +473,8 @@ class TestNoAmbientFaults:
 
 class TestChaosMatrix:
     @pytest.mark.parametrize("plan_text", [
+        pytest.param("crash@age:0", id="age-worker-crash"),
+        pytest.param("raise@age:0", id="age-exception"),
         pytest.param("crash@capture:0", id="worker-crash"),
         pytest.param("raise@capture:0", id="capture-exception"),
         pytest.param("raise@replay:0;raise@replay:1", id="replay-exceptions"),
